@@ -9,23 +9,24 @@ caches the reusable part once per base document and recomputes only what
 an edit can change:
 
 - **LSTM/GRU prefix-state caching** (:class:`RecurrentDeltaKernel`): the
-  recurrence is causal, so the hidden (and cell) state after ``p`` steps
-  depends only on tokens ``[0, p)``.  Building a base state records the
-  per-timestep states; a candidate edited first at position ``p`` restarts
-  the recurrence from the cached state at ``p`` and runs only the
-  ``n_real - p`` suffix steps.  An iteration's proposal set is evaluated
-  fused: candidates are grouped by suffix start and each group runs as one
-  stacked recurrence (one gate GEMM per step for the whole group).
+  recurrence is causal, so the state after ``p`` steps depends only on
+  tokens ``[0, p)``.  A base state records the state after every step; a
+  candidate edited first at ``p`` resumes from the cached state at ``p``
+  and runs only the ``n_real - p`` suffix steps.  A proposal set runs as
+  one *staggered* recurrence: sorted by resume point, candidates join the
+  stacked batch at their own step, so every step is one gate GEMM however
+  many resume points there are.  A new base state resumes from the
+  resident state sharing its longest token prefix (greedy's next base is
+  the last one plus one edit) and runs only the steps after it.
 
 - **WCNN windowed recompute** (:class:`ConvDeltaKernel`): only conv
   windows overlapping the edited span ``[lo, hi)`` — window starts in
   ``[lo - h + 1, hi)`` — can change.  The base state caches every
   penalized post-ReLU window feature plus running prefix/suffix maxima, so
-  max-over-time pooling is recovered as
-  ``max(prefix[ws0], recomputed windows, suffix[ws1])`` — exact, because
-  ``max`` is a selection, not an accumulation: regrouping the operands
-  cannot change the value.  All candidates' affected windows are gathered
-  into a single im2col GEMM (fused proposal-set evaluation).
+  pooling is ``max(prefix[ws0], recomputed windows, suffix[ws1])`` —
+  exact, because ``max`` is a selection, not an accumulation.  A proposal
+  set's affected windows are one im2col GEMM and one segmented
+  ``np.maximum.reduceat``.
 
 Exactness / parity
 ------------------
@@ -36,20 +37,18 @@ every GEMM uses the same cached contiguous pre-transposed operands
 batch composition for M >= 2 (single-row dispatches are padded by row
 duplication, exactly like the scoring service), the classification head is
 the composition-invariant ``stable_dense_np``, and elementwise ops /
-softmax are per-row.  So a candidate's delta score does not depend on
-which other candidates share the proposal set — the same property the
-scoring service relies on — and equals its stable full-forward score bit
-for bit, which the parity tests in ``tests/nn/test_delta.py`` assert.
+softmax are per-row.  The parity tests in ``tests/nn/test_delta.py``
+assert this per family, edit position and proposal-set shape.
 
-:class:`DeltaScoreFn` preserves the attack goldens byte for byte: calls
-without a base document (the original-document score stored as
-``AttackResult.original_prob``, staged-search incumbent scores) and
-candidates that are not delta-eligible (different token count than the
-base, stochastic inference) go through the untouched legacy
-``model.predict_proba`` path, so every probability that lands in an
-``AttackResult`` is produced by exactly the same code as with delta
-scoring disabled.  Delta-scored candidate probabilities only drive argmax
-/ threshold decisions inside the search strategies.
+That is *not* bitwise identity with delta scoring off.  Calls without a
+base (``AttackResult.original_prob``, staged-search incumbents) and
+ineligible candidates (token count differs from the base, stochastic
+inference) take the untouched ``model.predict_proba`` path, but delta
+scores drive the search's argmax / threshold decisions with stable-kernel
+probabilities, which can differ from the default fused kernel's by a few
+ULPs; where two proposals tie that closely the search may pick the other
+one (one of 462 documents of the Table-2 benchmark grid does).  Delta-on
+runs are deterministic and independent of batch composition and workers.
 
 Accounting
 ----------
@@ -73,12 +72,14 @@ from __future__ import annotations
 import os
 import time
 from collections import OrderedDict
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.nn.inference import (
+    gru_cell_np,
     gru_forward_np,
+    lstm_cell_np,
     lstm_forward_np,
     softmax_np,
     stable_dense_np,
@@ -131,17 +132,17 @@ def diff_span(base: Sequence[str], cand: Sequence[str], limit: int) -> tuple[int
 
     Returns ``(lo, hi)`` with ``hi`` exclusive, or None when the documents
     agree on every position the model can see (``limit`` is the truncation
-    point, ``min(len, max_len)``).
+    point, ``min(len, max_len)``).  Scans forward to the first difference, then back to the last.
     """
-    lo = -1
-    hi = 0
-    for i in range(min(limit, len(base), len(cand))):
-        if base[i] != cand[i]:
-            if lo < 0:
-                lo = i
-            hi = i + 1
-    if lo < 0:
+    n = min(limit, len(base), len(cand))
+    lo = 0
+    while lo < n and base[lo] == cand[lo]:
+        lo += 1
+    if lo == n:
         return None
+    hi = n
+    while base[hi - 1] == cand[hi - 1]:
+        hi -= 1
     return lo, hi
 
 
@@ -259,48 +260,31 @@ class ConvDeltaKernel:
         k = conv.kernel_size
         operand = stable_matmul_operand(model, "conv.weight", conv.weight.data)
         emb_table = model.embedding.weight.data
-        dim = emb_table.shape[1]
         payload = state.payload
-        n_win = payload["n_win"]
-        penalty = payload["penalty"]
-        prefix = payload["prefix"]
-        suffix = payload["suffix"]
-        bounds = []
-        for lo, hi in spans:
-            ws0 = max(0, lo - k + 1)
-            ws1 = max(ws0, min(n_win, hi))
-            bounds.append((ws0, ws1))
-        total = sum(ws1 - ws0 for ws0, ws1 in bounds)
-        arange_k = np.arange(k)[None, :]
-        flat = np.empty((total, k * dim))
-        offset = 0
-        for i, (ws0, ws1) in enumerate(bounds):
-            n_aff = ws1 - ws0
-            if not n_aff:
-                continue
-            win_idx = np.arange(ws0, ws1)[:, None] + arange_k
-            flat[offset : offset + n_aff] = emb_table[cand_ids[i][win_idx]].reshape(
-                n_aff, k * dim
-            )
-            offset += n_aff
-        units = float(max(2, total)) if total else 0.0
+        lo, hi = np.array(spans, dtype=np.intp).reshape(-1, 2).T
+        ws0 = np.maximum(0, lo - k + 1)
+        ws1 = np.maximum(ws0, np.minimum(payload["n_win"], hi))
+        n_aff = ws1 - ws0
+        total = int(n_aff.sum())
+        pooled = payload["prefix"][ws0]
         if total:
+            # segment j: candidate j's windows [ws0[j], ws1[j]), from row seg_start[j]
+            seg_start = np.cumsum(n_aff) - n_aff
+            win = np.arange(total) + np.repeat(ws0 - seg_start, n_aff)
+            rows = np.repeat(np.arange(len(n_aff)), n_aff)[:, None]
+            flat = emb_table[cand_ids[rows, win[:, None] + np.arange(k)]].reshape(total, -1)
             feats = np.maximum(_stable_rows(flat, operand, conv.bias.data), 0.0)
-        pooled = np.empty((len(bounds), prefix.shape[1]))
-        offset = 0
-        for i, (ws0, ws1) in enumerate(bounds):
-            seg = prefix[ws0]
-            n_aff = ws1 - ws0
-            if n_aff:
-                recomputed = feats[offset : offset + n_aff] + penalty[ws0:ws1, None]
-                seg = np.maximum(seg, recomputed.max(axis=0))
-                offset += n_aff
-            pooled[i] = np.maximum(seg, suffix[ws1])
-        return _head_probs(model, pooled), units
+            feats += payload["penalty"][win, None]
+            # reduceat misreads empty segments: pool only candidates with windows
+            hit = n_aff > 0
+            seg_max = np.maximum.reduceat(feats, seg_start[hit], axis=0)
+            pooled[hit] = np.maximum(pooled[hit], seg_max)
+        pooled = np.maximum(pooled, payload["suffix"][ws1])
+        return _head_probs(model, pooled), float(max(2, total)) if total else 0.0
 
 
 class RecurrentDeltaKernel:
-    """Prefix-state caching + grouped suffix recurrence for LSTM/GRU models.
+    """Prefix-state caching + staggered suffix recurrence for LSTM/GRU models.
 
     ``cell_attr`` names the recurrent module on the model (``"lstm"`` /
     ``"gru"``); ``kind`` selects the recurrence.  Duck-typed requirements:
@@ -327,27 +311,35 @@ class RecurrentDeltaKernel:
         wh = stable_matmul_operand(model, f"{self.cell_attr}.w_h", cell.w_h.data)
         return wx, wh, cell.bias.data
 
-    def build(self, model: object, ids: np.ndarray, mask: np.ndarray) -> DeltaState:
+    def build(
+        self, model: object, ids: np.ndarray, mask: np.ndarray, resident: Iterable[DeltaState] = ()
+    ) -> DeltaState:
+        """Base state of ``ids``, reusing the ``resident`` state sharing most leading ids.
+
+        Only the steps after the shared prefix run, as the same two-row batch a cold
+        build runs (gemv never matches gemm rows), so the state is bitwise a cold
+        build's.  Steps past ``n_real`` are masked no-ops in the full forward.
+        """
         wx, wh, bias = self._operands(model)
-        emb_table = model.embedding.weight.data
         n_real = int(mask[0].sum())
-        # Two duplicated rows: gemv never matches gemm rows, so the base
-        # forward runs as a 2-row batch (row 0 is kept), exactly mirroring
-        # the scoring service's single-doc padding.  Steps beyond n_real
-        # are masked no-ops in the full forward, so the loop stops early.
-        emb = emb_table[np.concatenate([ids, ids])[:, :n_real]]
-        hid = wh.shape[1]
+        keys = ("h", "c") if self.kind == "lstm" else ("h",)
+        start, prior = 0, {k: np.zeros((1, wh.shape[1])) for k in keys}
+        for other in resident:
+            n = min(n_real, other.n_real)
+            differ = np.flatnonzero(other.ids[0, :n] != ids[0, :n])
+            shared = int(differ[0]) if differ.size else n
+            if shared > start:
+                start, prior = shared, other.payload
+        emb = model.embedding.weight.data[np.concatenate([ids, ids])[:, start:n_real]]
+        seqs = [np.empty((2, n_real - start + 1, wh.shape[1])) for _ in keys]
+        seeds = [np.repeat(prior[k][start : start + 1], 2, axis=0) for k in keys]
         if self.kind == "lstm":
-            h_seq = np.empty((2, n_real + 1, hid))
-            c_seq = np.empty((2, n_real + 1, hid))
-            h, _ = lstm_forward_np(emb, None, wx, wh, bias, state_seq=(h_seq, c_seq))
-            payload = {"h": h_seq[0].copy(), "c": c_seq[0].copy()}
+            h, _ = lstm_forward_np(emb, None, wx, wh, bias, *seeds, state_seq=tuple(seqs))
         else:
-            h_seq = np.empty((2, n_real + 1, hid))
-            h = gru_forward_np(emb, None, wx, wh, bias, state_seq=h_seq)
-            payload = {"h": h_seq[0].copy()}
+            h = gru_forward_np(emb, None, wx, wh, bias, *seeds, state_seq=seqs[0])
+        payload = {k: np.concatenate([prior[k][:start], seq[0]]) for k, seq in zip(keys, seqs)}
         probs = _head_probs(model, h[:1])[0]
-        return DeltaState(ids, mask, probs, payload, float(n_real), float(2 * n_real))
+        return DeltaState(ids, mask, probs, payload, float(n_real), float(2 * (n_real - start)))
 
     def score(
         self,
@@ -356,31 +348,36 @@ class RecurrentDeltaKernel:
         cand_ids: np.ndarray,
         spans: Sequence[tuple[int, int]],
     ) -> tuple[np.ndarray, float]:
-        """Grouped suffix recurrences: one stacked program per suffix start."""
+        """One staggered recurrence over the proposal set, rows sorted by resume point.
+
+        Active rows are a prefix, each seeded with the base state at its start.  Row 0
+        duplicates row 1 (the first candidate), so its lone steps are a 2-row GEMM that
+        leaves the next row's seed alone.  Units: suffix steps plus those lone steps.
+        """
         wx, wh, bias = self._operands(model)
         emb_table = model.embedding.weight.data
-        payload = state.payload
+        wx_t, wh_t = wx.T, wh.T
         n_real = state.n_real
-        hid = wh.shape[1]
-        groups: dict[int, list[int]] = {}
-        for i, (lo, _hi) in enumerate(spans):
-            groups.setdefault(min(lo, n_real - 1), []).append(i)
-        h_final = np.empty((len(spans), hid))
-        units = 0.0
-        for start, members in groups.items():
-            rows = cand_ids[members][:, start:n_real]
-            if len(members) == 1:
-                rows = np.concatenate([rows, rows])
-            emb = emb_table[rows]
-            h0 = np.repeat(payload["h"][start][None], rows.shape[0], axis=0)
-            if self.kind == "lstm":
-                c0 = np.repeat(payload["c"][start][None], rows.shape[0], axis=0)
-                h, _ = lstm_forward_np(emb, None, wx, wh, bias, h0=h0, c0=c0)
+        starts = np.minimum([lo for lo, _hi in spans], n_real - 1)
+        order = np.argsort(starts, kind="stable")
+        rows = np.concatenate([order[:1], order])
+        ids, starts = cand_ids[rows], starts[rows]
+        h = state.payload["h"][starts]
+        c = state.payload["c"][starts] if self.kind == "lstm" else None
+        active = np.searchsorted(starts[1:], np.arange(starts[0], n_real), side="right").tolist()
+        for t, n_active in enumerate(active, int(starts[0])):
+            live = slice(int(n_active > 1), n_active + 1)
+            xp = emb_table[ids[live, t]] @ wx_t
+            hp = h[live] @ wh_t
+            if c is None:
+                h[live] = gru_cell_np(xp, hp, h[live], bias)
             else:
-                h = gru_forward_np(emb, None, wx, wh, bias, h0=h0)
-            h_final[members] = h[: len(members)]
-            units += rows.shape[0] * (n_real - start)
-        return _head_probs(model, h_final), units
+                hp += xp
+                hp += bias
+                h[live], c[live] = lstm_cell_np(hp, c[live])
+        h_final = h[1:][np.argsort(order)]  # back to the callers' candidate order
+        units = (n_real - starts[1:]).sum() + active.count(1)
+        return _head_probs(model, h_final), float(units)
 
 
 class DeltaScoreFn:
@@ -483,7 +480,10 @@ class DeltaScoreFn:
         pad_len = model.padded_length(n_cap)
         ids, mask = model.vocab.encode_batch([base], pad_len)
         tic = time.perf_counter()
-        state = kernel.build(model, ids, mask)
+        if isinstance(kernel, RecurrentDeltaKernel):
+            state = kernel.build(model, ids, mask, self._states.values())
+        else:
+            state = kernel.build(model, ids, mask)
         perf = getattr(model, "perf", None)
         if perf is not None:
             perf.record_forward(1, pad_len, time.perf_counter() - tic)

@@ -44,6 +44,8 @@ __all__ = [
     "dense_np",
     "conv1d_np",
     "max_over_time_np",
+    "lstm_cell_np",
+    "gru_cell_np",
     "lstm_forward_np",
     "gru_forward_np",
     "rnn_forward_np",
@@ -111,11 +113,18 @@ def softmax_np(logits: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def sigmoid_np(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``Tensor.sigmoid`` semantics: ``1 / (1 + exp(-clip(x, -60, 60)))``."""
-    z = np.clip(x, -60.0, 60.0)
+    """``Tensor.sigmoid`` semantics: ``1 / (1 + exp(-clip(x, -60, 60)))``.
+
+    The clip is spelled ``minimum(maximum(x, -60), 60)``: bitwise the same
+    result (NaN and -0.0 included) without ``np.clip``'s Python-level
+    argument handling, which dominated the cost of the small per-timestep
+    calls the recurrent kernels make.
+    """
     if out is None:
-        return 1.0 / (1.0 + np.exp(-z))
-    np.negative(z, out=out)
+        return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -60.0), 60.0)))
+    np.maximum(x, -60.0, out=out)
+    np.minimum(out, 60.0, out=out)
+    np.negative(out, out=out)
     np.exp(out, out=out)
     out += 1.0
     np.divide(1.0, out, out=out)
@@ -155,6 +164,37 @@ def max_over_time_np(feats: np.ndarray, window_mask: np.ndarray, neg: float = -1
     """Masked max-over-time pooling, matching :class:`repro.nn.layers.MaxOverTime`."""
     penalty = np.where(np.asarray(window_mask, dtype=bool), 0.0, neg)[:, :, None]
     return (feats + penalty).max(axis=1)
+
+
+def lstm_cell_np(gates: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One LSTM cell update from the pre-activation ``[i f g o]`` gates.
+
+    Returns ``(h_new, c_new)``; the op sequence of
+    :meth:`repro.nn.rnn.LSTM.forward`, shared by every fused recurrence.
+    ``gates`` is overwritten: one in-place sigmoid over all four blocks
+    (elementwise, so bitwise the per-gate calls) yields ``i``, ``f`` and
+    ``o``, after ``g``'s tanh has read its block.
+    """
+    hid = c.shape[1]
+    g = np.tanh(gates[:, 2 * hid : 3 * hid])
+    act = sigmoid_np(gates, out=gates)
+    c_new = act[:, hid : 2 * hid] * c + act[:, :hid] * g
+    return act[:, 3 * hid :] * np.tanh(c_new), c_new
+
+
+def gru_cell_np(xp: np.ndarray, hp: np.ndarray, h: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """One GRU cell update from the input (``xp``) and hidden (``hp``) projections.
+
+    Joint update/reset projection, reset-gated candidate, then
+    ``(1 - z) n + z h``: the op sequence of :meth:`repro.nn.rnn.GRU.forward`.
+    """
+    hid = h.shape[1]
+    zr = xp[:, : 2 * hid] + hp[:, : 2 * hid]
+    zr += bias[: 2 * hid]
+    sigmoid_np(zr, out=zr)
+    z, r = zr[:, :hid], zr[:, hid:]
+    n = np.tanh(xp[:, 2 * hid :] + r * hp[:, 2 * hid :] + bias[2 * hid :])
+    return (1.0 - z) * n + z * h
 
 
 def lstm_forward_np(
@@ -198,12 +238,7 @@ def lstm_forward_np(
         np.matmul(h, wh_t, out=gates)
         gates += x_proj[:, t, :]
         gates += bias
-        i = sigmoid_np(gates[:, :hid])
-        f = sigmoid_np(gates[:, hid : 2 * hid])
-        g = np.tanh(gates[:, 2 * hid : 3 * hid])
-        o = sigmoid_np(gates[:, 3 * hid :])
-        c_new = f * c + i * g
-        h_new = o * np.tanh(c_new)
+        h_new, c_new = lstm_cell_np(gates, c)
         if mask is not None:
             step = mask[:, t][:, None]
             c = np.where(step, c_new, c)
@@ -244,12 +279,8 @@ def gru_forward_np(
     x_proj = (emb.reshape(batch * seq_len, dim) @ wx_t).reshape(batch, seq_len, 3 * hid)
     hp = np.empty((batch, 3 * hid))
     for t in range(seq_len):
-        xp = x_proj[:, t, :]
         np.matmul(h, wh_t, out=hp)
-        z = sigmoid_np(xp[:, :hid] + hp[:, :hid] + bias[:hid])
-        r = sigmoid_np(xp[:, hid : 2 * hid] + hp[:, hid : 2 * hid] + bias[hid : 2 * hid])
-        n = np.tanh(xp[:, 2 * hid :] + r * hp[:, 2 * hid :] + bias[2 * hid :])
-        h_new = (1.0 - z) * n + z * h
+        h_new = gru_cell_np(x_proj[:, t, :], hp, h, bias)
         if mask is not None:
             step = mask[:, t][:, None]
             h = np.where(step, h_new, h)

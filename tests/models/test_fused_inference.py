@@ -11,7 +11,12 @@ import pytest
 
 from repro.models import GRUClassifier, TrainConfig, fit
 from repro.models.wcnn import WCNN
-from repro.nn.inference import fused_kernel_for, register_fused_kernel, softmax_np
+from repro.nn.inference import (
+    fused_kernel_for,
+    register_fused_kernel,
+    sigmoid_np,
+    softmax_np,
+)
 
 TOL = 1e-12
 
@@ -156,3 +161,32 @@ def test_softmax_np_matches_functional():
     logits = rng.normal(scale=4.0, size=(7, 3))
     expected = softmax(Tensor(logits), axis=-1).data
     np.testing.assert_array_equal(softmax_np(logits), expected)
+
+
+def _clip_sigmoid(x, out=None):
+    """The ``np.clip`` spelling ``sigmoid_np`` used to have, kept as the oracle."""
+    z = np.clip(x, -60.0, 60.0)
+    if out is None:
+        return 1.0 / (1.0 + np.exp(-z))
+    np.negative(z, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    np.divide(1.0, out, out=out)
+    return out
+
+
+def test_sigmoid_np_bitwise_equals_clip_formula():
+    """Special values, the clip bounds and just past them, in and out of ``out=``."""
+    edges = [np.nan, np.inf, -np.inf, -0.0, 0.0, 60.0, -60.0, 1e-300, -1e-300]
+    edges += [np.nextafter(60.0, np.inf), np.nextafter(-60.0, -np.inf)]
+    edges += [np.nextafter(60.0, 0.0), np.nextafter(-60.0, 0.0), 1e308, -1e308]
+    rng = np.random.default_rng(0)
+    x = np.concatenate([edges, rng.normal(scale=30.0, size=200)]).reshape(-1, 5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert sigmoid_np(x).tobytes() == _clip_sigmoid(x).tobytes()
+        got = sigmoid_np(x, out=np.empty_like(x))
+        assert got.tobytes() == _clip_sigmoid(x, out=np.empty_like(x)).tobytes()
+        # strided views, as the recurrent kernels pass gate slices
+        view = x[:, 1:4]
+        assert sigmoid_np(view).tobytes() == _clip_sigmoid(view).tobytes()
+    assert np.isnan(sigmoid_np(np.array([np.nan]))[0])

@@ -8,6 +8,11 @@ delta-eligible must fall back bitwise to the legacy ``predict_proba``
 path, so ``AttackResult`` fields never change when delta scoring is
 switched on.
 
+The recurrent kernel scores a proposal set as one staggered recurrence
+(rows sorted by resume point, a spare row padding lone-row steps) and
+resumes new base states from resident ones; both get their own bitwise
+tests, as does ``diff_span`` against a full-range reference scan.
+
 Also home to the ``max_over_time_np`` edge cases the conv kernel's
 prefix/suffix-maxima decomposition leans on: all-masked windows, exact
 ties at segment boundaries, and documents shorter than the kernel.
@@ -22,6 +27,7 @@ from repro.models import GRUClassifier, LSTMClassifier, WCNN
 from repro.nn.delta import (
     DELTA_SCORING_ENV,
     DeltaScoreFn,
+    RecurrentDeltaKernel,
     delta_kernel_for,
     delta_scoring_enabled,
     diff_span,
@@ -62,6 +68,38 @@ def edited(rng, base: list[str], positions) -> list[str]:
     return cand
 
 
+def changed(base: list[str], pos: int) -> list[str]:
+    """``base`` with position ``pos`` replaced by a different word."""
+    cand = list(base)
+    cand[pos] = WORDS[(WORDS.index(base[pos]) + 1) % len(WORDS)]
+    return cand
+
+
+def assert_stable_parity(model, base, cands) -> DeltaScoreFn:
+    fn = DeltaScoreFn(model)
+    got = fn(cands, base=base)
+    for i, cand in enumerate(cands):
+        assert got[i].tobytes() == stable_row(model, cand).tobytes(), i
+    assert fn.stats["delta_candidates"] == len(cands)
+    return fn
+
+
+def encoded(model, doc):
+    ids, mask = model.vocab.encode_batch([doc], model.padded_length(len(doc)))
+    return ids, mask
+
+
+def full_scan_diff_span(base, cand, limit):
+    """Reference: one pass over the whole range, noting every difference."""
+    lo, hi = -1, 0
+    for i in range(min(limit, len(base), len(cand))):
+        if base[i] != cand[i]:
+            if lo < 0:
+                lo = i
+            hi = i + 1
+    return None if lo < 0 else (lo, hi)
+
+
 # ---------------------------------------------------------------------------
 # diff_span
 # ---------------------------------------------------------------------------
@@ -81,6 +119,17 @@ class TestDiffSpan:
         # an edit past the truncation point is invisible to the model
         assert diff_span(list("abcd"), list("abcx"), 3) is None
         assert diff_span(list("abcd"), list("abxx"), 3) == (2, 3)
+
+    def test_matches_full_scan_randomized(self):
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            n = int(rng.integers(0, 12))
+            base = [str(t) for t in rng.integers(0, 3, n)]
+            cand = list(base)
+            for pos in rng.integers(0, max(n, 1), int(rng.integers(0, 4)) if n else 0):
+                cand[pos] = str(rng.integers(0, 3))
+            limit = int(rng.integers(0, n + 3))
+            assert diff_span(base, cand, limit) == full_scan_diff_span(base, cand, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +212,105 @@ class TestDeltaParity:
         assert fn.stats["delta_candidates"] == 0
         assert fn.stats["full_forwards"] == 1
         assert not fn._states
+
+
+@pytest.mark.parametrize("family", ["lstm", "gru"])
+class TestStaggeredRecurrence:
+    """Proposal-set shapes that stress the one-recurrence schedule."""
+
+    def test_lone_earliest_row_then_many_later(self, family):
+        # one candidate runs alone (padded by the spare row) until the rest join
+        model = make_model(family)
+        base = random_doc(np.random.default_rng(20), 14)
+        cands = [changed(base, 1)] + [changed(base, p) for p in (6, 7, 7, 9, 12)]
+        assert_stable_parity(model, base, cands)
+
+    def test_candidates_out_of_start_order(self, family):
+        model = make_model(family)
+        base = random_doc(np.random.default_rng(21), 12)
+        positions = (9, 2, 7, 2, 0, 11, 5, 0)
+        assert_stable_parity(model, base, [changed(base, p) for p in positions])
+
+    def test_single_candidate(self, family):
+        model = make_model(family)
+        base = random_doc(np.random.default_rng(22), 9)
+        for pos in (0, 4, 8):
+            assert_stable_parity(model, base, [changed(base, pos)])
+
+    def test_all_candidates_share_a_start(self, family):
+        model = make_model(family)
+        base = random_doc(np.random.default_rng(23), 10)
+        cands = [changed(base, 3)] + [changed(changed(base, 3), 3 + k) for k in range(1, 6)]
+        assert_stable_parity(model, base, cands)
+
+    def test_resume_at_last_real_step(self, family):
+        model = make_model(family)
+        base = random_doc(np.random.default_rng(24), 11)
+        assert_stable_parity(model, base, [changed(base, 10)])
+        assert_stable_parity(model, base, [changed(base, 10), changed(base, 10), changed(base, 4)])
+
+    def test_units_count_suffix_steps_plus_lone_steps(self, family):
+        """n_real = 10, starts 2, 5, 5: suffixes 8 + 5 + 5, and steps 2-4
+        run the first row alone as a padded pair: 3 more."""
+        model = make_model(family)
+        base = random_doc(np.random.default_rng(25), 10)
+        fn = assert_stable_parity(model, base, [changed(base, p) for p in (5, 2, 5)])
+        assert fn.pop_stats()["delta_units"] == 8 + 5 + 5 + 3
+        # a lone candidate runs padded all the way: 2 x its suffix
+        fn = assert_stable_parity(model, base, [changed(base, 6)])
+        assert fn.pop_stats()["delta_units"] == 2 * 4
+
+
+@pytest.mark.parametrize("family", ["lstm", "gru"])
+class TestPrefixResumedBuild:
+    def assert_same_state(self, got, want):
+        assert got.probs.tobytes() == want.probs.tobytes()
+        assert got.payload.keys() == want.payload.keys()
+        for key, arr in want.payload.items():
+            assert got.payload[key].shape == arr.shape, key
+            assert got.payload[key].tobytes() == arr.tobytes(), key
+
+    def test_resumed_state_equals_cold_build_bitwise(self, family):
+        model = make_model(family)
+        kernel = RecurrentDeltaKernel(family, family)
+        rng = np.random.default_rng(30)
+        old = random_doc(rng, 16)
+        resident = kernel.build(model, *encoded(model, old))
+        for new in (changed(old, 9), changed(old, 0), changed(old, 15), old[:12], old + old[:5]):
+            ids, mask = encoded(model, new)
+            cold = kernel.build(model, ids, mask)
+            resumed = kernel.build(model, ids, mask, [resident])
+            self.assert_same_state(resumed, cold)
+        # only the steps after the shared prefix are paid for
+        ids, mask = encoded(model, changed(old, 9))
+        assert kernel.build(model, ids, mask, [resident]).build_units == 2 * (16 - 9)
+        # a base that is a prefix of a resident one runs no steps at all
+        ids, mask = encoded(model, old[:12])
+        assert kernel.build(model, ids, mask, [resident]).build_units == 0
+
+    def test_longest_shared_prefix_wins(self, family):
+        model = make_model(family)
+        kernel = RecurrentDeltaKernel(family, family)
+        base = random_doc(np.random.default_rng(31), 12)
+        residents = [kernel.build(model, *encoded(model, changed(base, p))) for p in (3, 8, 5)]
+        state = kernel.build(model, *encoded(model, base), residents)
+        assert state.build_units == 2 * (12 - 8)
+        self.assert_same_state(state, kernel.build(model, *encoded(model, base)))
+
+    def test_greedy_walk_builds_resume(self, family):
+        """Successive bases one edit apart: scores stay exact, builds shrink."""
+        model = make_model(family)
+        rng = np.random.default_rng(32)
+        base = random_doc(rng, 18)
+        fn = DeltaScoreFn(model)
+        for pos in (12, 4, 15):
+            cands = [changed(base, p) for p in range(len(base))]
+            got = fn(cands, base=base)
+            for i, cand in enumerate(cands):
+                assert got[i].tobytes() == stable_row(model, cand).tobytes()
+            base = cands[pos]
+        assert fn.stats["state_builds"] == 3
+        assert fn.stats["state_build_units"] == 2 * (18 + (18 - 12) + (18 - 4))
 
 
 # ---------------------------------------------------------------------------
