@@ -20,17 +20,14 @@ trajectory:
    path): the acceptance bars are a ≥2× reduction in paid model forwards
    AND a ≥2× single-thread wall-time speedup, at no loss in attack
    success.
-4. **Parallel corpus runner + scoring service** — the same fast attack
-   sharded across forked workers via
-   :class:`~repro.eval.parallel.ParallelAttackRunner`, with and without
-   the shared-memory scoring service
-   (:mod:`repro.eval.scoring_service`).  A ``docs_per_second`` series is
-   recorded per worker count (1/2/4, service off/on) together with the
-   machine's CPU count; on a single-core container the multi-worker
-   numbers honestly sit at/below serial, and the regression test
-   (``tests/eval/test_bench_scaling.py``) only requires pooled ≥ serial
-   when the recorded CPU count can deliver it.  Results must be identical
-   to the serial run in every configuration.
+4. **Parallel corpus runner** — the same fast attack sharded across
+   forked workers via :class:`~repro.eval.parallel.ParallelAttackRunner`.
+   A ``docs_per_second`` series is recorded per worker count (1/2/4)
+   together with the machine's CPU count; on a single-core container the
+   multi-worker numbers honestly sit at/below serial, and the regression
+   test (``tests/eval/test_bench_scaling.py``) only requires pooled ≥
+   serial when the recorded CPU count can deliver it.  Results must be
+   identical to the serial run at every worker count.
 5. **Incremental delta scoring** — the same fast joint greedy attack with
    :class:`~repro.nn.delta.DeltaScoreFn` installed: single-edit
    candidates are scored through the windowed-conv delta kernel instead
@@ -195,9 +192,8 @@ def test_inference_perf(benchmark, ctx):
         metrics["attack_success_naive"] = (naive["successes"] / N_DOCS, "rate")
         metrics["attack_success_fast"] = (fast["successes"] / N_DOCS, "rate")
 
-        # -- part 3: parallel corpus runner + scoring service ----------------
-        # docs/s series per worker count, scoring service off and on, so
-        # BENCH records the actual scaling curve instead of one opaque
+        # -- part 3: parallel corpus runner ----------------------------------
+        # docs/s series per worker count, so BENCH records the actual scaling curve instead of one opaque
         # speedup scalar.  On a 1-CPU container the multi-worker numbers
         # honestly sit at/below serial; the regression test only demands
         # scaling where the hardware can deliver it (cpu_count >= 2).
@@ -207,40 +203,23 @@ def test_inference_perf(benchmark, ctx):
         cpus = os.cpu_count() or 1
         metrics["parallel_runner_cpu_count"] = (float(cpus), "cpus")
         worker_counts = (1, 2, 4) if fork_available() else (1,)
-        reference = None  # serial legacy adversarial docs
-        service_reference = None  # service-backed run, any worker count
-        for service_on in (False, True):
-            for workers in worker_counts:
-                runner = ctx.attack_runner(
-                    attack, n_workers=workers, scoring_service=service_on
-                )
-                start = time.perf_counter()
-                results = runner.run(attack_docs, targets)
-                elapsed = time.perf_counter() - start
-                adversarial = [tuple(r.adversarial) for r in results]
-                if not service_on:
-                    if reference is None:
-                        reference = adversarial
-                    assert adversarial == reference, (
-                        f"pooled run ({workers} workers) must reproduce the "
-                        f"serial results exactly"
-                    )
-                else:
-                    if service_reference is None:
-                        service_reference = adversarial
-                    assert adversarial == service_reference, (
-                        f"service-backed runs must be identical at every "
-                        f"worker count (diverged at {workers})"
-                    )
-                    assert adversarial == reference, (
-                        "service-backed adversarial documents must match the "
-                        "legacy path"
-                    )
-                suffix = "_service" if service_on else ""
-                metrics[f"parallel_runner_docs_per_second_{workers}w{suffix}"] = (
-                    N_DOCS / elapsed,
-                    "docs/s",
-                )
+        reference = None  # serial adversarial docs
+        for workers in worker_counts:
+            runner = ctx.attack_runner(attack, n_workers=workers)
+            start = time.perf_counter()
+            results = runner.run(attack_docs, targets)
+            elapsed = time.perf_counter() - start
+            adversarial = [tuple(r.adversarial) for r in results]
+            if reference is None:
+                reference = adversarial
+            assert adversarial == reference, (
+                f"pooled run ({workers} workers) must reproduce the "
+                f"serial results exactly"
+            )
+            metrics[f"parallel_runner_docs_per_second_{workers}w"] = (
+                N_DOCS / elapsed,
+                "docs/s",
+            )
         # -- part 4: incremental delta scoring on the fast joint greedy ------
         # same fast configuration, but single-edit candidates go through
         # the windowed-conv delta kernel; the reduction is measured in

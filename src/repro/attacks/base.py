@@ -189,8 +189,8 @@ class Attack:
 
     ``score_fn`` (a *ScoreBatchFn*, ``docs -> (n, C) probabilities``)
     reroutes the scoring forwards of :meth:`_score_batch` — e.g. to the
-    shared scoring service of :mod:`repro.eval.scoring_service` — while
-    gradients and the final verdict forward stay on the local model.
+    incremental :class:`~repro.nn.delta.DeltaScoreFn` — while gradients
+    and the final verdict forward stay on the local model.
     """
 
     name = "attack"
@@ -285,8 +285,7 @@ class Attack:
 
         ``base`` is the incumbent document the candidates are single-edit
         variants of; it is forwarded only to score functions advertising
-        ``accepts_base`` (the delta scorer, the delta-aware service client),
-        which use it to score candidates incrementally.  Plain score
+        ``accepts_base`` (the delta scorer), which uses it to score candidates incrementally.  Plain score
         functions and the local model ignore it.
         """
         fn = self.score_fn

@@ -127,7 +127,6 @@ def evaluate_attack(
     progress=None,
     trace_dir: str | os.PathLike | None = None,
     trace_every_n: int | None = None,
-    scoring_service=None,
     delta_scoring: bool | None = None,
     telemetry: TelemetryServer | None = None,
     telemetry_port: int | None = None,
@@ -152,10 +151,6 @@ def evaluate_attack(
     and ``metrics.json`` into that directory; ``trace_every_n`` samples
     the traces (every n-th document, default 1 via
     ``REPRO_TRACE_EVERY_N``).
-
-    ``scoring_service`` routes scoring forwards through the shared
-    scoring service (see :class:`~repro.eval.parallel.ParallelAttackRunner`);
-    ``None`` defers to ``REPRO_SCORING_SERVICE``.
 
     ``delta_scoring`` scores single-edit candidates incrementally
     (:mod:`repro.nn.delta`; bitwise identical results); ``None`` defers
@@ -307,9 +302,7 @@ def evaluate_attack(
                 n_workers=n_workers,
                 base_seed=seed,
                 on_result=on_result,
-                scoring_service=scoring_service,
                 delta_scoring=delta_scoring,
-                series_dir=trace_dir,
             )
             outcomes = runner.run(
                 [doc for _, _, doc, _ in todo],
@@ -323,7 +316,7 @@ def evaluate_attack(
             sampler.stop()
     monitor.finish()
     if sampler is not None:
-        # after the last worker/service snapshot merge, so the series'
+        # after the last worker snapshot merge, so the series'
         # final point reconciles exactly with metrics.json
         sampler.close()
     if server is not None:

@@ -217,9 +217,9 @@ def _watch_main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments watch",
         description="Live terminal dashboard for a running (or finished) "
-        "attack run: sparklines of docs/s, success rate, cache hits, "
-        "delta savings and scoring-service vitals, from a run directory's "
-        "series.jsonl or a telemetry exporter URL.",
+        "attack run: sparklines of docs/s, success rate, cache hits "
+        "and delta savings, from a run directory's series.jsonl or a "
+        "telemetry exporter URL.",
     )
     parser.add_argument(
         "target",

@@ -149,6 +149,12 @@ class ExperimentContext:
         delta_scoring: bool | None = None,
         telemetry_port: int | None = None,
     ) -> None:
+        # kept only because bench/child.py still passes scoring_service=False
+        if scoring_service is not None and scoring_service is not False:
+            raise ValueError(
+                "the scoring service was removed; ExperimentContext accepts "
+                f"only scoring_service=None or False, got {scoring_service!r}"
+            )
         self.settings = settings or ExperimentSettings()
         default_cache = Path(os.environ.get("REPRO_CACHE_DIR", Path.cwd() / ".cache"))
         self.cache_dir = Path(cache_dir) if cache_dir is not None else default_cache
@@ -178,11 +184,6 @@ class ExperimentContext:
         if trace_dir is None and env_trace:
             trace_dir = env_trace
         self.trace_dir = Path(trace_dir) if trace_dir is not None else None
-        #: route scoring forwards through the shared-memory scoring service
-        #: (repro.eval.scoring_service).  None defers to
-        #: REPRO_SCORING_SERVICE inside the runner, so the flag reaches
-        #: every driver without code changes.
-        self.scoring_service = scoring_service
         #: score single-edit candidates incrementally (repro.nn.delta);
         #: bitwise identical results.  None defers to REPRO_DELTA_SCORING
         #: inside the runner, so the flag reaches every driver without
@@ -456,7 +457,6 @@ class ExperimentContext:
             "progress": self.progress,
             "journal_path": self.journal_path(tag),
             "trace_dir": self.trace_path(tag),
-            "scoring_service": self.scoring_service,
             "delta_scoring": self.delta_scoring,
             "telemetry": self.telemetry,
         }
@@ -466,16 +466,14 @@ class ExperimentContext:
         attack: Attack,
         n_workers: int | None = None,
         chunk_size: int | None = None,
-        scoring_service=None,
         delta_scoring=None,
     ) -> ParallelAttackRunner:
         """A corpus runner for ``attack`` wired to this context's recorder.
 
         Worker precedence: explicit arg, then the context's ``n_workers``,
         then ``REPRO_NUM_WORKERS``/CPU count inside the runner; the same
-        explicit-arg-then-context precedence applies to ``scoring_service``
-        and ``delta_scoring`` (pass ``False`` to force the legacy path for
-        one run).
+        explicit-arg-then-context precedence applies to ``delta_scoring``
+        (pass ``False`` to force full forwards for one run).
         """
         return ParallelAttackRunner(
             attack,
@@ -483,9 +481,6 @@ class ExperimentContext:
             chunk_size=chunk_size,
             base_seed=self.settings.seed,
             perf=self.perf,
-            scoring_service=(
-                scoring_service if scoring_service is not None else self.scoring_service
-            ),
             delta_scoring=(
                 delta_scoring if delta_scoring is not None else self.delta_scoring
             ),

@@ -12,8 +12,7 @@ yielding a transferability matrix.
 Determinism: per-document reseeding makes every grid cell bitwise
 reproducible at any worker count, and the transfer replay happens in the
 parent process over already-crafted documents — so the whole tournament,
-transfer matrix included, is worker-count independent and
-scoring-service independent.
+transfer matrix included, is worker-count independent.
 
 Black-box defenses (``smoothing``) expose no gradients; gradient-guided
 attacks against them fail per-document with structured

@@ -69,7 +69,7 @@ def _gru_fused_logits(
 def _gru_stable_logits(
     model: GRUClassifier, token_ids: np.ndarray, mask: np.ndarray
 ) -> np.ndarray:
-    """Composition-stable GRU forward for the scoring service (B >= 2)."""
+    """Composition-stable GRU forward, the reference of delta scoring (B >= 2)."""
     emb = model.embedding.weight.data[token_ids]
     h = gru_forward_np(
         emb,

@@ -70,7 +70,7 @@ def _lstm_fused_logits(
 def _lstm_stable_logits(
     model: LSTMClassifier, token_ids: np.ndarray, mask: np.ndarray
 ) -> np.ndarray:
-    """Composition-stable LSTM forward for the scoring service (B >= 2)."""
+    """Composition-stable LSTM forward, the reference of delta scoring (B >= 2)."""
     emb = model.embedding.weight.data[token_ids]
     h, _ = lstm_forward_np(
         emb,

@@ -112,7 +112,7 @@ def _wcnn_fused_logits(model: WCNN, token_ids: np.ndarray, mask: np.ndarray) -> 
 
 
 def _wcnn_stable_logits(model: WCNN, token_ids: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Composition-stable WCNN forward for the scoring service (B >= 2)."""
+    """Composition-stable WCNN forward, the reference of delta scoring (B >= 2)."""
     emb = model.embedding.weight.data[token_ids]
     feats = np.maximum(
         conv1d_np(

@@ -35,7 +35,7 @@ Delta-scored probabilities are **bitwise identical** to the reference
 every GEMM uses the same cached contiguous pre-transposed operands
 (``stable_matmul_operand``), whose output rows are bitwise independent of
 batch composition for M >= 2 (single-row dispatches are padded by row
-duplication, exactly like the scoring service), the classification head is
+duplication), the classification head is
 the composition-invariant ``stable_dense_np``, and elementwise ops /
 softmax are per-row.  The parity tests in ``tests/nn/test_delta.py``
 assert this per family, edit position and proposal-set shape.
@@ -186,7 +186,7 @@ def _stable_rows(flat: np.ndarray, operand: np.ndarray, bias: np.ndarray) -> np.
 
     ``operand`` must come from :func:`stable_matmul_operand`.  gemv (one
     row) never matches gemm rows, so a lone row is duplicated before the
-    GEMM and sliced back — the same trick the scoring service uses.
+    GEMM and sliced back.
     """
     if flat.shape[0] == 1:
         return (np.concatenate([flat, flat]) @ operand.T)[:1] + bias

@@ -81,10 +81,10 @@ def register_stable_kernel(model_cls: type, kernel: FusedKernel) -> None:
 
     A stable kernel guarantees a stronger property than the fused ones:
     every output row is bitwise independent of which other rows share the
-    batch.  The scoring service depends on this — it merges `_score_batch`
-    requests from many concurrent document attacks into one large GEMM,
-    and the merged composition varies with timing, so only row-stable
-    kernels keep service-backed runs deterministic across worker counts.
+    batch.  Delta scoring (:mod:`repro.nn.delta`) depends on this: its
+    rows are defined as bitwise equal to the stable forward, whatever
+    candidates share the proposal batch, and the parity tests check the
+    delta kernels against these kernels bit for bit.
 
     Same exact-type lookup rule as :func:`register_fused_kernel`.
     """
@@ -320,7 +320,7 @@ _RNN_ACTIVATIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 # wide GEMMs (`stable_matmul_operand`), the narrow classification head as a
 # per-class elementwise multiply + per-row pairwise `sum` (`stable_dense_np`,
 # composition-invariant by construction), and callers must never dispatch a
-# single-row batch (the scoring service pads to >= 2 rows).  Elementwise
+# single-row batch (the delta kernels pad a lone row to 2).  Elementwise
 # ops, softmax, gathers and masked reductions are all per-row already.
 # ---------------------------------------------------------------------------
 
@@ -331,8 +331,7 @@ def stable_matmul_operand(model: object, name: str, weight: np.ndarray) -> np.nd
     transpose-contiguous ``w`` makes the BLAS see a contiguous NoTrans
     second operand, which is what makes their rows composition-stable for
     M >= 2.  The copy is cached on the model instance under ``name`` and
-    invalidated when the source parameter array is rebound (e.g. by the
-    shared-memory weight arena).
+    invalidated when the source parameter array is rebound.
     """
     cache = model.__dict__.setdefault("_stable_operand_cache", {})
     entry = cache.get(name)

@@ -54,7 +54,6 @@ from repro.obs.timeseries import (
     SERIES_FILENAME,
     SERIES_INTERVAL_ENV,
     SERIES_SCHEMA_VERSION,
-    SERVICE_SERIES_FILENAME,
     TimeSeriesSampler,
     iter_series_files,
     load_run_series,
@@ -101,7 +100,6 @@ __all__ = [
     "render_phase_table",
     "SERIES_SCHEMA_VERSION",
     "SERIES_FILENAME",
-    "SERVICE_SERIES_FILENAME",
     "SERIES_INTERVAL_ENV",
     "TimeSeriesSampler",
     "read_series",

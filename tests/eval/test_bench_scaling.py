@@ -34,7 +34,6 @@ def test_scaling_series_schema(bench):
     """The per-worker-count series replaced the old speedup scalar."""
     assert "parallel_runner_cpu_count" in bench
     assert "parallel_runner_docs_per_second_1w" in bench
-    assert "parallel_runner_docs_per_second_1w_service" in bench
     assert "parallel_runner_speedup" not in bench, (
         "the opaque speedup scalar was replaced by the docs_per_second "
         "series; regenerate BENCH_inference.json"

@@ -144,6 +144,18 @@ class TestWorkerPerfAttachment:
             victim.perf = prev
 
 
+class TestScoreFnAttachment:
+    def test_score_fn_is_detached_after_the_run(
+        self, victim, word_paraphraser, corpus_slice
+    ):
+        docs, targets = corpus_slice
+        attack = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2)
+        ParallelAttackRunner(
+            attack, n_workers=1, base_seed=0, delta_scoring=True
+        ).run(docs[:1], targets[:1])
+        assert attack.score_fn is None
+
+
 class TestRunnerValidation:
     def test_bad_chunk_size(self, victim, word_paraphraser):
         attack = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2)

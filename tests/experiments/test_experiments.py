@@ -63,6 +63,17 @@ class TestContext:
         assert ctx.paraphrase_config("trec07p").delta_lm == float("inf")
         assert np.isfinite(ctx.paraphrase_config("yelp").delta_lm)
 
+    @pytest.mark.parametrize("value", [None, False])
+    def test_scoring_service_off_is_accepted_and_dropped(self, tmp_path, value):
+        context = ExperimentContext(cache_dir=tmp_path, scoring_service=value)
+        assert not hasattr(context, "scoring_service")
+        assert "scoring_service" not in context.eval_kwargs("cell")
+
+    @pytest.mark.parametrize("value", [True, 0])
+    def test_scoring_service_on_names_the_removed_service(self, tmp_path, value):
+        with pytest.raises(ValueError, match="scoring service was removed"):
+            ExperimentContext(cache_dir=tmp_path, scoring_service=value)
+
     def test_settings_cache_key_stable(self):
         a = ExperimentSettings().cache_key()
         b = ExperimentSettings().cache_key()

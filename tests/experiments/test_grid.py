@@ -6,17 +6,16 @@ import pickle
 import numpy as np
 import pytest
 
-import repro.experiments.grid as grid_mod
 from repro.defense.smoothing import SmoothedClassifier
 from repro.experiments import ExperimentContext, ExperimentSettings
 from repro.experiments.grid import (
-    Cell,
     CellOverride,
     GridRunner,
     MatrixAttack,
     MatrixDefense,
     RunMatrix,
 )
+from repro.nn.delta import DeltaScoreFn
 
 SETTINGS = ExperimentSettings(
     n_train=100, n_test=24, epochs=3, wcnn_filters=16, lstm_hidden=12
@@ -180,23 +179,26 @@ class TestGridRunner:
             victims[0].predict_proba(docs), reloaded.predict_proba(docs)
         )
 
-    def test_wrapped_victim_disables_scoring_service(self, ctx, monkeypatch):
-        captured = {}
-        real = grid_mod.evaluate_attack
-
-        def spy(model, attack, examples, **kwargs):
-            captured["model"] = model
-            captured["scoring_service"] = kwargs.get("scoring_service")
-            captured["delta_scoring"] = kwargs.get("delta_scoring")
-            return real(model, attack, examples, **kwargs)
-
-        monkeypatch.setattr(grid_mod, "evaluate_attack", spy)
-        GridRunner(ctx).run(
-            small_matrix(defenses=(MatrixDefense.of("smoothing", n_samples=3),))
+    def test_wrapped_victim_identical_with_delta_on_and_off(self, ctx):
+        # a smoothing victim has no registered delta kernel, so a delta-on
+        # cell scores through its plain predict_proba like a delta-off one
+        matrix = small_matrix(
+            defenses=(MatrixDefense.of("smoothing", n_samples=3),),
+            attacks=(MatrixAttack.of("greedy_word"),),
         )
-        assert isinstance(captured["model"], SmoothedClassifier)
-        assert captured["scoring_service"] is False
-        assert captured["delta_scoring"] is False
+        runs = {}
+        for delta in (False, True):
+            context = ExperimentContext(
+                SETTINGS, cache_dir=ctx.cache_dir, delta_scoring=delta
+            )
+            result = GridRunner(context).run(matrix).results[0]
+            assert isinstance(result.victim, SmoothedClassifier)
+            assert DeltaScoreFn.for_model(result.victim) is None
+            runs[delta] = [
+                {**r.to_dict(), "wall_time": 0.0} for r in result.evaluation.results
+            ]
+        assert runs[True]
+        assert runs[True] == runs[False]
 
     def test_max_queries_pinned_on_attack(self, ctx):
         frame = GridRunner(ctx).run(

@@ -1,9 +1,10 @@
 """Delta-scoring kernels: bitwise parity with the stable full forward.
 
 The load-bearing contract: a delta-scored candidate's probabilities are
-bitwise identical to the composition-stable full forward of that candidate
-(the same reference the scoring service dispatches through), for every
-model family, edit position, and span shape.  Everything that is *not*
+bitwise identical to the composition-stable full forward of that candidate,
+for every model family, edit position, and span shape.  The stable kernels
+themselves are checked first: rows independent of their batch-mates and
+within 1e-12 of ``predict_proba``.  Everything that is *not*
 delta-eligible must fall back bitwise to the legacy ``predict_proba``
 path, so ``AttackResult`` fields never change when delta scoring is
 switched on.
@@ -103,6 +104,41 @@ def full_scan_diff_span(base, cand, limit):
 # ---------------------------------------------------------------------------
 # diff_span
 # ---------------------------------------------------------------------------
+
+
+class TestStableKernels:
+    def test_victim_has_a_stable_kernel(self, victim):
+        assert stable_kernel_for(victim) is not None
+
+    def test_rows_are_composition_invariant(self, victim, attackable_docs):
+        """A document's probabilities must not depend on its batch-mates."""
+        kernel = stable_kernel_for(victim)
+        docs = [list(doc) for doc, _ in attackable_docs[:8]]
+        pad = max(len(d) for d in docs) + 4
+        ids, mask = victim.vocab.encode_batch(docs, pad)
+        whole = kernel(victim, ids, mask)
+        pairs = np.concatenate(
+            [kernel(victim, ids[i : i + 2], mask[i : i + 2]) for i in range(0, 8, 2)]
+        )
+        triples = np.concatenate(
+            [
+                kernel(victim, ids[:3], mask[:3]),
+                kernel(victim, ids[3:8], mask[3:8]),
+            ]
+        )
+        np.testing.assert_array_equal(whole, pairs)
+        np.testing.assert_array_equal(whole, triples)
+
+    def test_kernel_matches_predict_proba_closely(self, victim, attackable_docs):
+        """Stable-kernel scores sit within a few ulp of the default path."""
+        kernel = stable_kernel_for(victim)
+        docs = [list(doc) for doc, _ in attackable_docs[:6]]
+        pad = max(len(d) for d in docs) + 2
+        ids, mask = victim.vocab.encode_batch(docs, pad)
+        probs = softmax_np(kernel(victim, ids, mask))
+        # the default path buckets/pads differently; parity is numerical, not bitwise
+        local = victim.predict_proba(docs)
+        np.testing.assert_allclose(probs, local, rtol=0, atol=1e-12)
 
 
 class TestDiffSpan:

@@ -2,7 +2,7 @@
 
 The acceptance contract for the live layer: whatever the sampling cadence
 saw mid-run, the **final** series point is forced after the last worker
-(and service) snapshot merge, so its cumulative counters equal the
+snapshot merge, so its cumulative counters equal the
 ``metrics.json`` totals and the summed ``AttackResult`` fields — at any
 worker count — and telemetry must never change attack results.
 """
