@@ -44,8 +44,10 @@ import numpy as np
 
 from benchmarks.conftest import run_once
 from repro.eval.parallel import fork_available
-from repro.eval.perf import PerfRecorder, write_bench_json
+from repro.eval.perf import write_bench_json
 from repro.nn.delta import DeltaScoreFn
+from repro.obs.registry import MetricsRegistry
+from repro.obs.report import padded_length_stats
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCH_PATH = REPO_ROOT / "BENCH_inference.json"
@@ -86,7 +88,7 @@ def _candidate_batch(docs, size=16):
 
 def _fused_forward_timing(model, variants, rounds=20):
     """(reference seconds, fused seconds) per predict_proba call."""
-    prev_perf, model.perf = model.perf, None
+    prev_metrics, model.metrics = model.metrics, None
     prev_fused = model.fused_inference
     times = {}
     try:
@@ -99,7 +101,7 @@ def _fused_forward_timing(model, variants, rounds=20):
             times[fused] = (time.perf_counter() - start) / rounds
     finally:
         model.fused_inference = prev_fused
-        model.perf = prev_perf
+        model.metrics = prev_metrics
     return times[False], times[True]
 
 
@@ -112,14 +114,17 @@ def test_inference_perf(benchmark, ctx):
         lstm = ctx.model(DATASET, "lstm")
         docs = ctx.dataset(DATASET).documents("test")
         dense = lstm.predict_proba(docs, bucketed=False)
-        recorder = PerfRecorder()
-        lstm.perf = recorder
+        registry = MetricsRegistry()
+        lstm.metrics = registry
         bucketed = lstm.predict_proba(docs, bucketed=True)
         max_dev = float(np.abs(dense - bucketed).max())
         assert max_dev < 1e-10, "bucketed probabilities must match unbucketed"
         metrics["bucketed_max_abs_deviation"] = (max_dev, "probability")
+        # document-weighted mean padded length: the bucketing win metric
+        buckets = padded_length_stats(registry.counters)
         metrics["bucketed_mean_padded_length"] = (
-            recorder.mean_padded_length(),
+            sum(length * b["docs"] for length, b in buckets.items())
+            / registry.counter("forward/docs"),
             "tokens",
         )
         metrics["unbucketed_padded_length"] = (float(lstm.max_len), "tokens")
@@ -132,7 +137,7 @@ def test_inference_perf(benchmark, ctx):
         for i, variant in enumerate(variants):
             variant[i % len(variant)] = "<unk>"
         rounds = 5
-        lstm.perf = None
+        lstm.metrics = None
         for bucket_flag in (False, True):  # warm both paths
             lstm.predict_proba(variants, bucketed=bucket_flag)
         start = time.perf_counter()
@@ -143,7 +148,7 @@ def test_inference_perf(benchmark, ctx):
         for _ in range(rounds):
             lstm.predict_proba(variants, bucketed=True)
         t_bucketed = (time.perf_counter() - start) / rounds
-        lstm.perf = ctx.perf
+        lstm.metrics = ctx.metrics
         metrics["candidate_batch_docs_per_second_bucketed"] = (
             len(variants) / t_bucketed,
             "docs/s",

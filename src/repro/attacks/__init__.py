@@ -65,7 +65,7 @@ from repro.attacks.search import (
     StagedSearch,
 )
 from repro.attacks.sentence import GreedySentenceAttack
-from repro.attacks.transformations import (
+from repro.text.transformations import (
     SentenceNeighborSets,
     WordNeighborSets,
     apply_word_substitutions,

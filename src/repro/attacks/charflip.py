@@ -10,7 +10,7 @@ human-readable while (typically) mapping it out of the model's vocabulary,
 the classic evasion mechanism.
 
 Use :class:`CharFlipCandidates` anywhere a word paraphraser is accepted —
-it produces the same :class:`~repro.attacks.transformations.WordNeighborSets`
+it produces the same :class:`~repro.text.transformations.WordNeighborSets`
 interface consumed by every word-level attack.
 """
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.attacks.transformations import WordNeighborSets
+from repro.text.transformations import WordNeighborSets
 
 __all__ = ["CharFlipCandidates", "HOMOGLYPHS"]
 

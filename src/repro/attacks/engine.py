@@ -7,7 +7,8 @@ engine owning everything they share — the scoring choke point
 (:meth:`Attack._score_batch`: batching, order-preserving dedup, the
 per-call :class:`~repro.attacks.cache.ScoreCache`), the query budget, the
 ``n_queries`` / ``n_cache_hits`` accounting, and the TraceRecorder /
-PhaseProfiler / PerfRecorder instrumentation.  Strategies and sources
+PhaseProfiler instrumentation (the victim itself counts its forwards into
+its ``metrics`` registry).  Strategies and sources
 never touch the victim directly; they call the helpers below, so every
 combination — including ones no attack class predefines, like
 char-flip × beam — gets caching, tracing and reconciliation

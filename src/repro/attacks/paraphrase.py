@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.attacks.transformations import SentenceNeighborSets, WordNeighborSets
+from repro.text.transformations import SentenceNeighborSets, WordNeighborSets
 from repro.data.lexicon import DomainLexicon
 from repro.text.ngram_lm import NGramLM
 from repro.text.sentence import split_sentences

@@ -30,7 +30,8 @@ class SmoothedClassifier:
     Exposes the :class:`~repro.models.base.TextClassifier` prediction
     surface (``predict_proba`` / ``predict`` / ``accuracy`` /
     ``target_probability``) so the attacks can target it directly, plus
-    the ``vocab`` / ``max_len`` / ``embedding`` passthroughs they need.
+    the ``vocab`` / ``max_len`` / ``embedding`` passthroughs they need and
+    the wrapped model's ``metrics`` registry, which counts its forwards.
     Gradient access deliberately raises: smoothing is a black-box defense,
     so only score-based attacks apply (use ``objective-greedy``).
     """
@@ -65,6 +66,16 @@ class SmoothedClassifier:
     @property
     def embedding(self):
         return self.model.embedding
+
+    @property
+    def metrics(self):
+        return self.model.metrics
+
+    @metrics.setter
+    def metrics(self, registry) -> None:
+        # the pool attaches a worker registry here; it must reach the
+        # wrapped model, which is what records the forwards
+        self.model.metrics = registry
 
     def embedding_gradient(self, doc, target_label):  # pragma: no cover - guard
         raise NotImplementedError(

@@ -23,7 +23,7 @@ from repro.eval.parallel import (
     fork_available,
     resolve_num_workers,
 )
-from repro.eval.perf import BucketStats, PerfRecorder, read_bench_json, write_bench_json
+from repro.eval.perf import read_bench_json, write_bench_json
 from repro.eval.progress import Heartbeat, HeartbeatMonitor, ProgressPrinter
 from repro.eval.reporting import (
     format_markdown_table,
@@ -36,12 +36,10 @@ from repro.eval.reporting import (
 __all__ = [
     "AttackEvaluation",
     "evaluate_attack",
-    "BucketStats",
     "ParallelAttackRunner",
     "RunnerFaultPolicy",
     "WorkerCountError",
     "WorkerCrashError",
-    "PerfRecorder",
     "fork_available",
     "resolve_num_workers",
     "RunJournal",

@@ -35,7 +35,8 @@ Record kinds (one JSON object per line)::
 ``doc_index`` is the position in the evaluated example list (stable
 across resume); ``seed_index`` is the position in the attacked sublist,
 which determines the per-document seed.  ``perf`` records are informative
-(merged recorder snapshots); resume ignores them.
+(the victim's :class:`~repro.obs.registry.MetricsRegistry` snapshot at the
+end of a run, worker metrics merged); resume ignores them.
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ class RunJournal:
             )
 
     def record_perf(self, snapshot: dict) -> None:
-        """Append a merged :meth:`~repro.eval.perf.PerfRecorder.snapshot`."""
+        """Append a :meth:`~repro.obs.registry.MetricsRegistry.snapshot`."""
         self.perf_snapshots.append(snapshot)
         self._append({"kind": "perf", "snapshot": snapshot})
 

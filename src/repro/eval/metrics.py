@@ -220,10 +220,10 @@ def evaluate_attack(
         if i not in done
     ]
     run_registry = MetricsRegistry()
-    recorder = getattr(model, "perf", None)
+    context_metrics = getattr(model, "metrics", None)
 
     def _live_snapshot() -> dict:
-        # the run's own counters plus the shared context registry (phase
+        # the run's own counters plus the victim's (context) registry (phase
         # spans, forward batches, delta units) merged flat — the view the
         # series and every exporter endpoint serve.  Called from sampler /
         # HTTP threads while the run mutates both registries; the sampler
@@ -231,9 +231,8 @@ def evaluate_attack(
         # locking is imposed on the hot path.
         merged = MetricsRegistry()
         merged.merge(run_registry.snapshot())
-        context_registry = getattr(recorder, "registry", None)
-        if context_registry is not None:
-            merged.merge(context_registry.snapshot())
+        if context_metrics is not None:
+            merged.merge(context_metrics.snapshot())
         return merged.snapshot()
 
     server = telemetry
@@ -254,7 +253,7 @@ def evaluate_attack(
         callback=progress,
         done=len(done),
         n_failures=sum(1 for o in done.values() if isinstance(o, AttackFailure)),
-        perf=recorder,
+        metrics=context_metrics,
         registry=run_registry,
         sampler=sampler,
     )
@@ -323,18 +322,14 @@ def evaluate_attack(
         server.freeze()
         if own_server:
             server.stop()
-    if journal is not None and recorder is not None:
-        journal.record_perf(recorder.snapshot())
+    # after the last worker snapshot merge: the journal's perf record and
+    # metrics.json's context section are one and the same snapshot
+    context_snapshot = context_metrics.snapshot() if context_metrics is not None else None
+    if journal is not None and context_snapshot is not None:
+        journal.record_perf(context_snapshot)
     if trace_dir is not None:
         write_run_metrics(
-            trace_dir,
-            run_registry.snapshot(),
-            context_snapshot=(
-                recorder.registry.snapshot()
-                if getattr(recorder, "registry", None) is not None
-                else None
-            ),
-            perf_snapshot=recorder.snapshot() if recorder is not None else None,
+            trace_dir, run_registry.snapshot(), context_snapshot=context_snapshot
         )
 
     results: list[AttackResult] = []

@@ -17,13 +17,12 @@ processes:
   amortize task dispatch, with a chunk size that keeps every worker busy;
 - **ordered result merge** — results come back tagged with their document
   index and are re-assembled into input order;
-- **merge-safe perf accounting** — each worker records forwards into its
-  own :class:`~repro.eval.perf.PerfRecorder` (carrying its own
-  :class:`~repro.obs.registry.MetricsRegistry`, which the worker's phase
-  profiler mirrors into) and returns a serializable snapshot per chunk;
-  the parent folds snapshots into the shared recorder, so
-  ``n_queries``/wall-time/phase accounting stays correct under
-  parallelism;
+- **merge-safe metrics** — each worker attaches its own
+  :class:`~repro.obs.registry.MetricsRegistry` to the victim and the phase
+  profiler and returns the registry's snapshot per chunk; the parent
+  merges the snapshots into the runner's registry
+  (:meth:`~repro.obs.registry.MetricsRegistry.merge`), so forward, delta
+  and phase counters stay correct under parallelism;
 - **per-document tracing** — when a
   :class:`~repro.obs.trace.TraceRecorder` is attached to the attack, each
   worker writes its documents' trace files directly (one JSONL file per
@@ -78,7 +77,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from repro.attacks.base import Attack, AttackFailure, AttackResult
-from repro.eval.perf import PerfRecorder
 from repro.nn.delta import DeltaScoreFn, delta_scoring_enabled
 from repro.obs.registry import MetricsRegistry
 
@@ -198,42 +196,33 @@ _WORKER: dict = {}
 
 
 def _init_worker(
-    attack: Attack, base_seed: int, track_perf: bool, delta_scoring: bool = False
+    attack: Attack, base_seed: int, track_metrics: bool, delta_scoring: bool = False
 ) -> None:
     _WORKER["attack"] = attack
     _WORKER["base_seed"] = base_seed
     # for_model returns None when the model has no delta kernel, which
     # set_score_fn treats as the legacy in-process path
     attack.set_score_fn(DeltaScoreFn.for_model(attack.model) if delta_scoring else None)
+    # a fresh registry, or none: the fork-copied parent registry is never
+    # read again, so an untracked worker must not pay for recording into it
+    registry = MetricsRegistry() if track_metrics else None
+    attack.model.metrics = registry
     profiler = getattr(attack, "profiler", None)
-    if track_perf:
-        recorder = PerfRecorder(registry=MetricsRegistry())
-        attack.model.perf = recorder
-        if profiler is not None:
-            # worker phase spans mirror into the worker's own registry,
-            # which rides home inside each chunk's perf snapshot
-            profiler.registry = recorder.registry
-    else:
-        recorder = None
-        # detach the fork-copied parent recorder: an untracked run must not
-        # pay recording overhead into an object the parent never reads
-        if getattr(attack.model, "perf", None) is not None:
-            attack.model.perf = None
-        if profiler is not None:
-            profiler.registry = None
-    _WORKER["recorder"] = recorder
+    if profiler is not None:
+        profiler.registry = registry
+    _WORKER["metrics"] = registry
 
 
 def _attack_chunk(items: list[tuple[int, list[str], int]]):
-    """Run one chunk; return indexed outcomes + this chunk's perf snapshot."""
+    """Run one chunk; return indexed outcomes + this chunk's metrics snapshot."""
     attack: Attack = _WORKER["attack"]
-    recorder: PerfRecorder | None = _WORKER["recorder"]
-    if recorder is not None:
-        recorder.reset()
+    registry: MetricsRegistry | None = _WORKER["metrics"]
+    if registry is not None:
+        registry.reset()
     out = []
     for idx, doc, target in items:
         out.append((idx, _attack_one(attack, idx, doc, target, _WORKER["base_seed"])))
-    return out, (recorder.snapshot() if recorder is not None else None)
+    return out, (registry.snapshot() if registry is not None else None)
 
 
 @dataclass
@@ -290,9 +279,10 @@ class ParallelAttackRunner:
         cost, large enough to amortize dispatch.
     base_seed:
         Base of the per-document reseeding mix.
-    perf:
-        Recorder that receives the merged worker snapshots.  Defaults to
-        the attack's model recorder (``attack.model.perf``) when attached.
+    metrics:
+        :class:`~repro.obs.registry.MetricsRegistry` that receives the
+        merged worker snapshots.  Defaults to the attack's model registry
+        (``attack.model.metrics``) when attached.
     fault_policy:
         Crash-recovery knobs; see :class:`RunnerFaultPolicy`.
     on_result:
@@ -314,7 +304,7 @@ class ParallelAttackRunner:
         n_workers: int | None = None,
         chunk_size: int | None = None,
         base_seed: int = 0,
-        perf: PerfRecorder | None = None,
+        metrics: MetricsRegistry | None = None,
         fault_policy: RunnerFaultPolicy | None = None,
         on_result: Callable[[int, AttackResult | AttackFailure], None] | None = None,
         delta_scoring: bool | None = None,
@@ -325,7 +315,7 @@ class ParallelAttackRunner:
         self.n_workers = resolve_num_workers(n_workers)
         self.chunk_size = chunk_size
         self.base_seed = base_seed
-        self.perf = perf if perf is not None else getattr(attack.model, "perf", None)
+        self.metrics = metrics if metrics is not None else getattr(attack.model, "metrics", None)
         self.fault_policy = fault_policy or RunnerFaultPolicy()
         self.on_result = on_result
         self.delta_scoring = delta_scoring
@@ -414,8 +404,8 @@ class ParallelAttackRunner:
         items: list[tuple[int, list[str], int]],
         outcomes: dict[int, AttackResult | AttackFailure] | None = None,
     ) -> dict[int, AttackResult | AttackFailure]:
-        """In-process path: same reseeding and error isolation, direct
-        perf accounting (the model's recorder stays attached)."""
+        """In-process path: same reseeding and error isolation; the model
+        records straight into its attached registry."""
         if outcomes is None:
             outcomes = {}
         attack = self.attack
@@ -452,7 +442,7 @@ class ParallelAttackRunner:
         splits, or converts to failures before the next round.
         """
         policy = self.fault_policy
-        track_perf = self.perf is not None
+        track_metrics = self.metrics is not None
         ctx = multiprocessing.get_context("fork")
         outcomes: dict[int, AttackResult | AttackFailure] = {}
         shared: deque[_Chunk] = deque(self._chunks(items, n_workers))
@@ -466,7 +456,7 @@ class ParallelAttackRunner:
                 # suspects run one at a time on a one-worker pool so a
                 # break is unambiguously their fault
                 chunks, workers, solo = [suspects.popleft()], 1, True
-            lost = self._pool_round(chunks, workers, ctx, track_perf, outcomes)
+            lost = self._pool_round(chunks, workers, ctx, track_metrics, outcomes)
             if not lost:
                 continue
             rebuilds += 1
@@ -490,7 +480,7 @@ class ParallelAttackRunner:
         chunks: list[_Chunk],
         n_workers: int,
         ctx,
-        track_perf: bool,
+        track_metrics: bool,
         outcomes: dict[int, AttackResult | AttackFailure],
     ) -> list[_Chunk]:
         """One executor lifetime; returns the chunks whose results were lost."""
@@ -499,7 +489,7 @@ class ParallelAttackRunner:
             max_workers=n_workers,
             mp_context=ctx,
             initializer=_init_worker,
-            initargs=(self.attack, self.base_seed, track_perf, self._resolve_delta()),
+            initargs=(self.attack, self.base_seed, track_metrics, self._resolve_delta()),
         )
         try:
             futures = {}
@@ -518,8 +508,8 @@ class ParallelAttackRunner:
                 for idx, outcome in chunk_out:
                     outcomes[idx] = outcome
                     self._emit(idx, outcome)
-                if snapshot is not None and self.perf is not None:
-                    self.perf.merge(snapshot)
+                if snapshot is not None and self.metrics is not None:
+                    self.metrics.merge(snapshot)
         except BrokenProcessPool:
             # the pool can also break during submission; every chunk without
             # a completed result is picked up as lost below

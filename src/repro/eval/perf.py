@@ -1,19 +1,11 @@
-"""Perf instrumentation for the inference hot path.
+"""BENCH file schema for the perf harnesses.
 
-Every attack is a loop of batched model forwards, so the numbers that
-matter are: how many forwards were paid, how many documents they covered,
-how long they took, and how much padding the length buckets saved.  A
-:class:`PerfRecorder` collects exactly those; classifiers report into it
-when one is attached (``model.perf = recorder``), and
-:class:`~repro.experiments.common.ExperimentContext` attaches a shared
-recorder to every victim it builds.
-
-A recorder can carry a :class:`~repro.obs.registry.MetricsRegistry`
-(``PerfRecorder(registry=...)``): model-side hooks then also feed the
-``forward/batch_seconds`` latency histogram and the ``phase/tokenize``
-counters, and the registry snapshot rides inside :meth:`PerfRecorder.
-snapshot` so pool workers ship *all* their metrics home through the one
-existing merge path.
+Run metrics themselves live in one place, the
+:class:`~repro.obs.registry.MetricsRegistry` that
+:class:`~repro.experiments.common.ExperimentContext` attaches to every
+victim it builds (``model.metrics``): forward batches, documents, seconds
+and per-padded-length counters come from
+:meth:`~repro.models.base.TextClassifier.record_forward`.
 
 ``write_bench_json`` serializes a metrics dict in the stable schema
 ``{metric: {"value": ..., "unit": ...}}`` used by ``BENCH_inference.json``
@@ -25,168 +17,11 @@ quantile entry (count / mean / p50-p99 / max) under the same metric name.
 from __future__ import annotations
 
 import json
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.obs.registry import Histogram, MetricsRegistry
+from repro.obs.registry import Histogram
 
-__all__ = ["BucketStats", "PerfRecorder", "write_bench_json", "read_bench_json"]
-
-
-@dataclass
-class BucketStats:
-    """Aggregate statistics for one padded length."""
-
-    padded_len: int
-    n_batches: int = 0
-    n_docs: int = 0
-    seconds: float = 0.0
-
-
-@dataclass
-class PerfRecorder:
-    """Counters and timers for model forwards and attack phases.
-
-    Thread-unsafe by design (the substrate is single-threaded NumPy);
-    recording is a few dict operations so it is safe to leave attached
-    even outside benchmarks.
-    """
-
-    n_forward_batches: int = 0
-    n_forward_docs: int = 0
-    forward_seconds: float = 0.0
-    buckets: dict[int, BucketStats] = field(default_factory=dict)
-    counters: dict[str, float] = field(default_factory=dict)
-    #: optional MetricsRegistry: model hooks mirror into ``forward/*`` and
-    #: ``phase/tokenize``; rides inside :meth:`snapshot` for worker merging
-    registry: MetricsRegistry | None = None
-
-    # -- model-side hooks ---------------------------------------------------
-    def record_forward(self, n_docs: int, padded_len: int, seconds: float) -> None:
-        """One batched forward pass of ``n_docs`` documents padded to ``padded_len``."""
-        self.n_forward_batches += 1
-        self.n_forward_docs += n_docs
-        self.forward_seconds += seconds
-        stats = self.buckets.setdefault(padded_len, BucketStats(padded_len))
-        stats.n_batches += 1
-        stats.n_docs += n_docs
-        stats.seconds += seconds
-        if self.registry is not None:
-            self.registry.inc("forward/batches")
-            self.registry.inc("forward/docs", n_docs)
-            self.registry.inc("forward/seconds", seconds)
-            self.registry.observe("forward/batch_seconds", seconds)
-
-    def record_encode(self, n_docs: int, seconds: float) -> None:
-        """Tokenization/encoding time for one batch (kept out of forward time)."""
-        self.increment("encode_seconds", seconds)
-        if self.registry is not None:
-            self.registry.inc("phase/tokenize_calls")
-            self.registry.inc("phase/tokenize_seconds", seconds)
-
-    # -- generic counters/timers --------------------------------------------
-    def increment(self, name: str, amount: float = 1.0) -> None:
-        self.counters[name] = self.counters.get(name, 0.0) + amount
-
-    @contextmanager
-    def timer(self, name: str):
-        """Accumulate wall-time under ``counters[name + "_seconds"]``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.increment(f"{name}_seconds", time.perf_counter() - start)
-
-    # -- cross-process merging ----------------------------------------------
-    def snapshot(self) -> dict:
-        """Serializable (picklable, JSON-safe) copy of every counter.
-
-        Workers of the :class:`~repro.eval.parallel.ParallelAttackRunner`
-        record into their own (fork-copied) recorder and ship this snapshot
-        back; the parent folds it into the shared recorder with
-        :meth:`merge` so ``n_queries``/wall-time accounting stays correct
-        under parallelism.
-        """
-        return {
-            "n_forward_batches": self.n_forward_batches,
-            "n_forward_docs": self.n_forward_docs,
-            "forward_seconds": self.forward_seconds,
-            "buckets": {
-                int(k): {
-                    "n_batches": s.n_batches,
-                    "n_docs": s.n_docs,
-                    "seconds": s.seconds,
-                }
-                for k, s in self.buckets.items()
-            },
-            "counters": dict(self.counters),
-            "registry": self.registry.snapshot() if self.registry is not None else None,
-        }
-
-    def merge(self, snapshot: "dict | PerfRecorder") -> "PerfRecorder":
-        """Fold a :meth:`snapshot` (or another recorder) into this one."""
-        if isinstance(snapshot, PerfRecorder):
-            snapshot = snapshot.snapshot()
-        self.n_forward_batches += snapshot["n_forward_batches"]
-        self.n_forward_docs += snapshot["n_forward_docs"]
-        self.forward_seconds += snapshot["forward_seconds"]
-        for padded_len, entry in snapshot["buckets"].items():
-            padded_len = int(padded_len)
-            stats = self.buckets.setdefault(padded_len, BucketStats(padded_len))
-            stats.n_batches += entry["n_batches"]
-            stats.n_docs += entry["n_docs"]
-            stats.seconds += entry["seconds"]
-        for name, amount in snapshot["counters"].items():
-            self.increment(name, amount)
-        # .get: snapshots from before the registry existed lack the key
-        registry_snapshot = snapshot.get("registry")
-        if registry_snapshot:
-            if self.registry is None:
-                self.registry = MetricsRegistry()
-            self.registry.merge(registry_snapshot)
-        return self
-
-    # -- reporting ----------------------------------------------------------
-    def docs_per_second(self) -> float:
-        if self.forward_seconds <= 0.0:
-            return 0.0
-        return self.n_forward_docs / self.forward_seconds
-
-    def mean_padded_length(self) -> float:
-        """Document-weighted mean padded length — the bucketing win metric."""
-        if self.n_forward_docs == 0:
-            return 0.0
-        total = sum(s.padded_len * s.n_docs for s in self.buckets.values())
-        return total / self.n_forward_docs
-
-    def summary(self) -> dict:
-        return {
-            "n_forward_batches": self.n_forward_batches,
-            "n_forward_docs": self.n_forward_docs,
-            "forward_seconds": self.forward_seconds,
-            "docs_per_second": self.docs_per_second(),
-            "mean_padded_length": self.mean_padded_length(),
-            "buckets": {
-                str(k): {
-                    "n_batches": s.n_batches,
-                    "n_docs": s.n_docs,
-                    "seconds": s.seconds,
-                }
-                for k, s in sorted(self.buckets.items())
-            },
-            "counters": dict(sorted(self.counters.items())),
-        }
-
-    def reset(self) -> None:
-        self.n_forward_batches = 0
-        self.n_forward_docs = 0
-        self.forward_seconds = 0.0
-        self.buckets.clear()
-        self.counters.clear()
-        if self.registry is not None:
-            self.registry.reset()
+__all__ = ["write_bench_json", "read_bench_json"]
 
 
 def write_bench_json(path: str | Path, metrics: dict[str, tuple[float, str]]) -> dict:

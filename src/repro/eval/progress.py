@@ -4,9 +4,8 @@
 :class:`Heartbeat` each time a document finishes (in completion order —
 under the process pool that is not input order).  The callback gets the
 run's vital signs: documents done, structured failures so far, throughput
-and the ETA derived from it, plus the attached
-:class:`~repro.eval.perf.PerfRecorder`'s forward counters when the victim
-has one.
+and the ETA derived from it, plus the ``forward/docs`` counter of the
+victim's :class:`~repro.obs.registry.MetricsRegistry` when it has one.
 
 Any callable accepting a :class:`Heartbeat` works; :class:`ProgressPrinter`
 is the batteries-included stderr reporter used by the experiment drivers
@@ -35,7 +34,7 @@ class Heartbeat:
     elapsed_seconds: float  # wall-time since the run (not the resume) started
     docs_per_second: float  # throughput over this run's freshly attacked docs
     eta_seconds: float  # remaining / throughput; inf until throughput is known
-    n_forward_docs: int = 0  # from the victim's PerfRecorder, when attached
+    n_forward_docs: int = 0  # the victim registry's forward/docs, when attached
 
     @property
     def remaining(self) -> int:
@@ -49,6 +48,9 @@ class HeartbeatMonitor:
     heartbeat reflects overall run progress, but throughput/ETA are
     computed over freshly attacked documents only — resumed documents cost
     no wall-time and must not inflate docs/s.
+
+    ``metrics`` is the victim's registry, read for ``n_forward_docs``;
+    ``registry`` is the run's registry, which receives the ``run/*`` gauges.
     """
 
     def __init__(
@@ -57,7 +59,7 @@ class HeartbeatMonitor:
         callback=None,
         done: int = 0,
         n_failures: int = 0,
-        perf=None,
+        metrics=None,
         registry=None,
         sampler=None,
     ) -> None:
@@ -65,7 +67,7 @@ class HeartbeatMonitor:
         self.callback = callback
         self.done = done
         self.n_failures = n_failures
-        self.perf = perf
+        self.metrics = metrics
         #: optional MetricsRegistry mirror: vitals become ``run/*`` gauges
         self.registry = registry
         #: optional TimeSeriesSampler riding the heartbeat cadence: serial
@@ -122,7 +124,9 @@ class HeartbeatMonitor:
             elapsed_seconds=elapsed,
             docs_per_second=rate,
             eta_seconds=eta,
-            n_forward_docs=getattr(self.perf, "n_forward_docs", 0),
+            n_forward_docs=(
+                int(self.metrics.counter("forward/docs")) if self.metrics is not None else 0
+            ),
         )
 
 

@@ -47,7 +47,6 @@ from repro.data import (
 )
 from repro.data.lexicon import DomainLexicon
 from repro.eval.parallel import ParallelAttackRunner
-from repro.eval.perf import PerfRecorder
 from repro.eval.progress import ProgressPrinter
 from repro.models import GRUClassifier, LSTMClassifier, TextClassifier, TrainConfig, WCNN, fit
 from repro.nn.serialization import load, save
@@ -205,15 +204,13 @@ class ExperimentContext:
         self._models: dict[tuple[str, str], TextClassifier] = {}
         self._word_paraphrasers: dict[str, WordParaphraser] = {}
         self._sentence_paraphrasers: dict[str, SentenceParaphraser] = {}
-        # one registry + phase profiler + perf recorder shared by every
-        # victim, paraphraser and attack this context builds; drivers and
-        # benchmarks read/reset them around the sections they measure.  The
-        # profiler mirrors spans into the registry, and the recorder carries
-        # the registry so pool workers ship phase/forward metrics home
-        # through the perf-snapshot merge path.
+        # one registry + phase profiler shared by every victim, paraphraser
+        # and attack this context builds; drivers and benchmarks read/reset
+        # them around the sections they measure.  Victims count their
+        # forwards and the profiler its spans into the registry, and pool
+        # workers ship theirs home as registry snapshots.
         self.metrics = MetricsRegistry()
         self.profiler = PhaseProfiler(registry=self.metrics)
-        self.perf = PerfRecorder(registry=self.metrics)
 
     # -- corpora -----------------------------------------------------------
     def dataset(self, name: str) -> TextDataset:
@@ -318,7 +315,7 @@ class ExperimentContext:
             fit(model, self.dataset(dataset).train, self.train_config())
             cache_file.parent.mkdir(parents=True, exist_ok=True)
             save(model, cache_file)
-        model.perf = self.perf
+        model.metrics = self.metrics
         self._models[key] = model
         return model
 
@@ -468,7 +465,7 @@ class ExperimentContext:
         chunk_size: int | None = None,
         delta_scoring=None,
     ) -> ParallelAttackRunner:
-        """A corpus runner for ``attack`` wired to this context's recorder.
+        """A corpus runner for ``attack`` wired to this context's registry.
 
         Worker precedence: explicit arg, then the context's ``n_workers``,
         then ``REPRO_NUM_WORKERS``/CPU count inside the runner; the same
@@ -480,7 +477,7 @@ class ExperimentContext:
             n_workers=n_workers if n_workers is not None else self.n_workers,
             chunk_size=chunk_size,
             base_seed=self.settings.seed,
-            perf=self.perf,
+            metrics=self.metrics,
             delta_scoring=(
                 delta_scoring if delta_scoring is not None else self.delta_scoring
             ),

@@ -382,7 +382,7 @@ class GridRunner:
                     model = defense.retrain(base, self.resources(dataset, arch))
                     cache_file.parent.mkdir(parents=True, exist_ok=True)
                     save(model, cache_file)
-                model.perf = context.perf
+                model.metrics = context.metrics
                 self._retrained[key] = model
             model = self._retrained[key]
         return defense.wrap(model, self.resources(dataset, arch))

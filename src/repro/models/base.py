@@ -52,10 +52,9 @@ class TextClassifier(Module):
         self.vocab = vocab
         self.embedding = embedding
         self.max_len = max_len
-        # duck-typed PerfRecorder (repro.eval.perf); models must not import
-        # eval, so anything with record_forward(n_docs, padded_len, seconds)
-        # works here
-        self.perf = None
+        #: run metrics sink (a repro.obs.registry.MetricsRegistry) or None;
+        #: ExperimentContext attaches its registry to every victim it builds
+        self.metrics = None
 
     # -- to be provided by subclasses ---------------------------------------
     def forward_from_embeddings(self, emb: Tensor, mask: np.ndarray) -> Tensor:
@@ -157,17 +156,32 @@ class TextClassifier(Module):
                 ids, mask = self.vocab.encode_batch(chunk, pad_len)
                 toc = time.perf_counter()
                 out[idx] = self._probs_batch(ids, mask)
-                if self.perf is not None:
-                    # encode time is reported separately (when the recorder
-                    # understands it) so forward latency is pure model time
-                    record_encode = getattr(self.perf, "record_encode", None)
-                    if record_encode is not None:
-                        record_encode(len(idx), toc - tic)
-                        tic = toc
-                    self.perf.record_forward(
-                        len(idx), pad_len, time.perf_counter() - tic
-                    )
+                if self.metrics is not None:
+                    # encode time stays out of forward latency
+                    self.metrics.inc("phase/tokenize_calls")
+                    self.metrics.inc("phase/tokenize_seconds", toc - tic)
+                    self.record_forward(len(idx), pad_len, time.perf_counter() - toc)
         return out
+
+    def record_forward(self, n_docs: int, padded_len: int, seconds: float) -> None:
+        """Count one forward batch into :attr:`metrics`; a no-op when detached.
+
+        The one writer of the ``forward/*`` names: ``forward/batches``,
+        ``forward/docs``, ``forward/seconds``, the ``forward/batch_seconds``
+        histogram, and ``forward/padded/<padded_len>/{batches,docs,seconds}``
+        per padded length.  Delta scoring reports its batches here too.
+        """
+        metrics = self.metrics
+        if metrics is None:
+            return
+        metrics.inc("forward/batches")
+        metrics.inc("forward/docs", n_docs)
+        metrics.inc("forward/seconds", seconds)
+        metrics.observe("forward/batch_seconds", seconds)
+        prefix = f"forward/padded/{padded_len}/"
+        metrics.inc(prefix + "batches")
+        metrics.inc(prefix + "docs", n_docs)
+        metrics.inc(prefix + "seconds", seconds)
 
     def predict(self, docs: Sequence[Sequence[str]], batch_size: int = 128) -> np.ndarray:
         """Hard label predictions."""

@@ -74,8 +74,8 @@ def _gru_stable_logits(
     h = gru_forward_np(
         emb,
         mask,
-        stable_matmul_operand(model, "gru.w_x", model.gru.w_x.data),
-        stable_matmul_operand(model, "gru.w_h", model.gru.w_h.data),
+        stable_matmul_operand(model.gru.w_x.data),
+        stable_matmul_operand(model.gru.w_h.data),
         model.gru.bias.data,
     )
     head = model.head

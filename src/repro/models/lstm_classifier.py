@@ -75,8 +75,8 @@ def _lstm_stable_logits(
     h, _ = lstm_forward_np(
         emb,
         mask,
-        stable_matmul_operand(model, "lstm.w_x", model.lstm.w_x.data),
-        stable_matmul_operand(model, "lstm.w_h", model.lstm.w_h.data),
+        stable_matmul_operand(model.lstm.w_x.data),
+        stable_matmul_operand(model.lstm.w_h.data),
         model.lstm.bias.data,
     )
     head = model.head

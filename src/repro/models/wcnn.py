@@ -117,7 +117,7 @@ def _wcnn_stable_logits(model: WCNN, token_ids: np.ndarray, mask: np.ndarray) ->
     feats = np.maximum(
         conv1d_np(
             emb,
-            stable_matmul_operand(model, "conv.weight", model.conv.weight.data),
+            stable_matmul_operand(model.conv.weight.data),
             model.conv.bias.data,
             model.conv.kernel_size,
             model.conv.stride,

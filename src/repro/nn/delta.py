@@ -32,7 +32,7 @@ Exactness / parity
 ------------------
 Delta-scored probabilities are **bitwise identical** to the reference
 *composition-stable* full forward (``repro.nn.inference`` stable kernels):
-every GEMM uses the same cached contiguous pre-transposed operands
+every GEMM uses the same contiguous pre-transposed operands
 (``stable_matmul_operand``), whose output rows are bitwise independent of
 batch composition for M >= 2 (single-row dispatches are padded by row
 duplication), the classification head is
@@ -219,7 +219,7 @@ class ConvDeltaKernel:
     def build(self, model: object, ids: np.ndarray, mask: np.ndarray) -> DeltaState:
         conv = model.conv
         k = conv.kernel_size
-        operand = stable_matmul_operand(model, "conv.weight", conv.weight.data)
+        operand = stable_matmul_operand(conv.weight.data)
         emb_table = model.embedding.weight.data
         pad_len = ids.shape[1]
         n_win = pad_len - k + 1
@@ -258,7 +258,7 @@ class ConvDeltaKernel:
         """
         conv = model.conv
         k = conv.kernel_size
-        operand = stable_matmul_operand(model, "conv.weight", conv.weight.data)
+        operand = stable_matmul_operand(conv.weight.data)
         emb_table = model.embedding.weight.data
         payload = state.payload
         lo, hi = np.array(spans, dtype=np.intp).reshape(-1, 2).T
@@ -307,8 +307,8 @@ class RecurrentDeltaKernel:
 
     def _operands(self, model: object) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         cell = getattr(model, self.cell_attr)
-        wx = stable_matmul_operand(model, f"{self.cell_attr}.w_x", cell.w_x.data)
-        wh = stable_matmul_operand(model, f"{self.cell_attr}.w_h", cell.w_h.data)
+        wx = stable_matmul_operand(cell.w_x.data)
+        wh = stable_matmul_operand(cell.w_h.data)
         return wx, wh, cell.bias.data
 
     def build(
@@ -449,17 +449,11 @@ class DeltaScoreFn:
 
     def _record(self, name: str, amount: float = 1.0) -> None:
         self.stats[name] += amount
-        # counter "delta_candidates" / registry "delta/candidates", without
-        # double-prefixing the stats keys that already start with "delta_"
-        metric = name if name.startswith("delta_") else f"delta_{name}"
-        perf = getattr(self.model, "perf", None)
-        if perf is not None:
-            increment = getattr(perf, "increment", None)
-            if increment is not None:
-                increment(metric, amount)
-            registry = getattr(perf, "registry", None)
-            if registry is not None:
-                registry.inc("delta/" + metric[len("delta_") :], amount)
+        metrics = getattr(self.model, "metrics", None)
+        if metrics is not None:
+            # stats "delta_candidates" / "state_builds" become registry
+            # "delta/candidates" / "delta/state_builds"
+            metrics.inc("delta/" + name.removeprefix("delta_"), amount)
 
     def _full(self, docs: list, kernel: object | None) -> np.ndarray:
         probs = self.model.predict_proba(docs)
@@ -484,9 +478,7 @@ class DeltaScoreFn:
             state = kernel.build(model, ids, mask, self._states.values())
         else:
             state = kernel.build(model, ids, mask)
-        perf = getattr(model, "perf", None)
-        if perf is not None:
-            perf.record_forward(1, pad_len, time.perf_counter() - tic)
+        model.record_forward(1, pad_len, time.perf_counter() - tic)
         self._record("state_builds")
         self._record("state_build_units", state.build_units)
         self._states[key] = state
@@ -535,9 +527,7 @@ class DeltaScoreFn:
                 tic = time.perf_counter()
                 ids, _ = model.vocab.encode_batch(cand_docs, state.pad_len)
                 probs, units = kernel.score(model, state, ids, spans)
-                perf = getattr(model, "perf", None)
-                if perf is not None:
-                    perf.record_forward(len(delta_idx), state.pad_len, time.perf_counter() - tic)
+                model.record_forward(len(delta_idx), state.pad_len, time.perf_counter() - tic)
                 out[delta_idx] = probs
                 units_full = len(delta_idx) * state.unit_cost_full
                 self._record("delta_candidates", len(delta_idx))

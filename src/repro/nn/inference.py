@@ -22,6 +22,13 @@ is kept untouched as the reference implementation — gradient-guided attacks
 still use it for the gradient step, and ``fused_inference = False`` (or an
 unregistered model class) falls back to it.
 
+Registered *stable* kernels (:func:`register_stable_kernel`) trade the
+op-order match for rows that do not depend on their batch-mates; they are
+the reference of delta scoring (see the notes above
+:func:`stable_matmul_operand`).  Like the fused kernels they read the
+parameters on every call and cache nothing derived from them, because the
+optimizers update parameter arrays in place.
+
 Layering: this module depends on nothing but NumPy.  Model modules import
 it to register their kernels; it never imports ``repro.models``.
 """
@@ -324,22 +331,17 @@ _RNN_ACTIVATIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 # ops, softmax, gathers and masked reductions are all per-row already.
 # ---------------------------------------------------------------------------
 
-def stable_matmul_operand(model: object, name: str, weight: np.ndarray) -> np.ndarray:
+def stable_matmul_operand(weight: np.ndarray) -> np.ndarray:
     """``weight``, re-laid-out so ``weight.T`` is a C-contiguous GEMM operand.
 
     The fused recurrences and conv all compute ``x @ w.T``; handing them a
     transpose-contiguous ``w`` makes the BLAS see a contiguous NoTrans
     second operand, which is what makes their rows composition-stable for
-    M >= 2.  The copy is cached on the model instance under ``name`` and
-    invalidated when the source parameter array is rebound.
+    M >= 2.  The copy is made on every call: the optimizers update
+    parameter arrays in place, so a copy cached on the array's identity
+    would go stale after training.
     """
-    cache = model.__dict__.setdefault("_stable_operand_cache", {})
-    entry = cache.get(name)
-    if entry is None or entry[0] is not weight:
-        contig = np.ascontiguousarray(weight.T).T
-        cache[name] = (weight, contig)
-        return contig
-    return entry[1]
+    return np.ascontiguousarray(weight.T).T
 
 
 def stable_dense_np(

@@ -1,16 +1,14 @@
 """Unified metrics registry: counters, gauges, and mergeable histograms.
 
-One registry instance aggregates every runtime signal the repo used to
-scatter across silos — ``PerfRecorder`` forward counters, ``ScoreCache``
-hit/miss/eviction accounting, :class:`~repro.eval.progress.Heartbeat`
-vitals, and the phase spans of
+The one sink for a run's runtime signals: model forward counters
+(:meth:`~repro.models.base.TextClassifier.record_forward`), delta-scoring
+units, ``ScoreCache`` hit/miss/eviction accounting,
+:class:`~repro.eval.progress.Heartbeat` vitals, and the phase spans of
 :class:`~repro.obs.spans.PhaseProfiler`.  Everything is plain-data and
 picklable, and :meth:`MetricsRegistry.merge` folds a worker's
-:meth:`MetricsRegistry.snapshot` into a parent registry exactly like
-``PerfRecorder.snapshot/merge`` — which is how the
-:class:`~repro.eval.parallel.ParallelAttackRunner` ships worker metrics
-back to the parent (the worker's registry rides inside the perf
-snapshot).
+:meth:`MetricsRegistry.snapshot` into a parent registry — which is how
+the :class:`~repro.eval.parallel.ParallelAttackRunner` ships worker
+metrics back to the parent.
 
 Histograms use fixed log-spaced buckets (1 µs .. 1000 s by default, four
 buckets per decade) so merging is exact bucket-count addition and
@@ -137,7 +135,9 @@ class MetricsRegistry:
 
     - ``attack/*``   — per-document outcome accounting (docs, successes,
       n_queries, cache_hits, cache_evictions, wall-time histogram);
-    - ``forward/*``  — model forward-batch counters and latency histogram;
+    - ``forward/*``  — model forward-batch counters, latency histogram and
+      ``forward/padded/<len>/*`` per-padded-length counters;
+    - ``delta/*``    — delta-scoring candidates and FLOP-equivalent units;
     - ``phase/*``    — :class:`~repro.obs.spans.PhaseProfiler` span totals;
     - ``run/*``      — heartbeat gauges (done, total, failures, docs/s).
 

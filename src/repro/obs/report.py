@@ -3,8 +3,8 @@
 A run directory is whatever ``REPRO_TRACE_DIR`` pointed at: the
 experiment drivers give each table cell its own subdirectory, each
 holding per-document ``trace-*.jsonl`` files plus a ``metrics.json``
-(run-level counters merged across resumes, the context registry and
-perf-recorder snapshots replaced with the latest) and an optional
+(run-level counters merged across resumes, the context registry snapshot
+replaced with the latest) and an optional
 ``failures.jsonl`` of structured :class:`~repro.attacks.base.
 AttackFailure` payloads.
 
@@ -16,7 +16,8 @@ AttackFailure` payloads.
 - a **per-cell table** when the run directory holds several cells;
 - the **phase breakdown** (``phase/*`` counters from the merged
   registry) and forward-latency histogram quantiles;
-- **per-bucket forward stats** from the perf snapshot;
+- **forward batch totals and per-padded-length stats** from the context
+  registry's ``forward/*`` counters;
 - a **failure digest** grouped by error type.
 
 Everything here consumes plain dicts read back from disk — this module
@@ -38,6 +39,7 @@ __all__ = [
     "append_failure",
     "load_run_metrics",
     "load_failures",
+    "padded_length_stats",
     "render_report",
     "render_phase_table",
     "render_frontier_leaderboard",
@@ -54,14 +56,13 @@ def write_run_metrics(
     run_dir: str | Path,
     run_snapshot: dict,
     context_snapshot: dict | None = None,
-    perf_snapshot: dict | None = None,
 ) -> Path:
     """Write/refresh ``metrics.json`` for one cell directory.
 
     The ``run`` section is *merged* with any existing file (a resumed run
-    adds to its earlier counters); ``context`` and ``perf`` are cumulative
-    snapshots of long-lived recorders, so the latest write simply
-    replaces them.
+    adds to its earlier counters); ``context`` is a cumulative snapshot of
+    the long-lived context registry, so the latest write simply replaces
+    it.
     """
     path = Path(run_dir) / METRICS_FILENAME
     merged = MetricsRegistry()
@@ -73,15 +74,10 @@ def write_run_metrics(
         if isinstance(existing.get("run"), dict):
             merged.merge(existing["run"])
     merged.merge(run_snapshot)
-    if perf_snapshot is not None:
-        # the registry rides inside perf snapshots for worker merging; it
-        # duplicates the context section here, so drop it from the copy
-        perf_snapshot = {k: v for k, v in perf_snapshot.items() if k != "registry"}
     payload = {
         "schema_version": METRICS_SCHEMA_VERSION,
         "run": merged.snapshot(),
         "context": context_snapshot,
-        "perf": perf_snapshot,
     }
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -101,14 +97,13 @@ def append_failure(run_dir: str | Path, failure_payload: dict) -> None:
 def load_run_metrics(run_dir: str | Path) -> dict:
     """Aggregate every ``metrics.json`` under ``run_dir``.
 
-    ``run`` sections merge across cells; ``context``/``perf`` are
-    cumulative snapshots of recorders shared by every cell in one driver
-    process, so the latest-written file carries the run-wide totals and
-    is taken whole rather than merged (merging would double count).
+    ``run`` sections merge across cells; ``context`` is a cumulative
+    snapshot of the registry shared by every cell in one driver process,
+    so the latest-written file carries the run-wide totals and is taken
+    whole rather than merged (merging would double count).
     """
     run = MetricsRegistry()
     context: dict | None = None
-    perf: dict | None = None
     latest_mtime = -1.0
     per_cell: dict[str, dict] = {}
     for path in sorted(Path(run_dir).rglob(METRICS_FILENAME)):
@@ -123,8 +118,7 @@ def load_run_metrics(run_dir: str | Path) -> dict:
         if mtime >= latest_mtime:
             latest_mtime = mtime
             context = payload.get("context")
-            perf = payload.get("perf")
-    return {"run": run, "context": context, "perf": perf, "per_cell": per_cell}
+    return {"run": run, "context": context, "per_cell": per_cell}
 
 
 def load_failures(run_dir: str | Path) -> list[dict]:
@@ -162,6 +156,21 @@ def _exact_quantile(values: list[float], q: float) -> float:
     ordered = sorted(values)
     index = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
     return ordered[index]
+
+
+def padded_length_stats(counters: dict[str, float]) -> dict[int, dict[str, float]]:
+    """``{padded_len: {"batches", "docs", "seconds"}}`` from ``forward/padded/*``.
+
+    Parses the per-padded-length counters that
+    :meth:`~repro.models.base.TextClassifier.record_forward` writes as
+    ``forward/padded/<padded_len>/<field>``.
+    """
+    stats: dict[int, dict[str, float]] = {}
+    for name, value in counters.items():
+        if name.startswith("forward/padded/"):
+            padded_len, field = name[len("forward/padded/") :].split("/")
+            stats.setdefault(int(padded_len), {})[field] = value
+    return dict(sorted(stats.items()))
 
 
 def render_phase_table(counters: dict[str, float]) -> str:
@@ -526,12 +535,12 @@ def render_report(run_dir: str | Path) -> str:
 
     # -- forward batches ----------------------------------------------------
     out += ["## Forward batches", ""]
-    perf = metrics["perf"]
-    if perf:
+    counters = context.get("counters", {})
+    if "forward/batches" in counters:
         forward_rows = [
-            ["forward batches", _fmt(perf.get("n_forward_batches", 0))],
-            ["forward docs", _fmt(perf.get("n_forward_docs", 0))],
-            ["forward seconds", f"{perf.get('forward_seconds', 0.0):.3f}"],
+            ["forward batches", _fmt(counters["forward/batches"])],
+            ["forward docs", _fmt(counters.get("forward/docs", 0.0))],
+            ["forward seconds", f"{counters.get('forward/seconds', 0.0):.3f}"],
         ]
         hist_snap = (context.get("histograms") or {}).get("forward/batch_seconds")
         if hist_snap:
@@ -541,25 +550,23 @@ def render_report(run_dir: str | Path) -> str:
                 ["batch latency p95", f"{hist.quantile(0.95) * 1e3:.2f} ms"],
             ]
         out += [_md_table(["metric", "value"], forward_rows), ""]
-        buckets = perf.get("buckets") or {}
+        buckets = padded_length_stats(counters)
         if buckets:
             rows = [
                 [
                     str(padded_len),
-                    _fmt(stats.get("n_batches", 0)),
-                    _fmt(stats.get("n_docs", 0)),
+                    _fmt(stats.get("batches", 0.0)),
+                    _fmt(stats.get("docs", 0.0)),
                     f"{stats.get('seconds', 0.0):.3f}",
                 ]
-                for padded_len, stats in sorted(
-                    buckets.items(), key=lambda kv: int(kv[0])
-                )
+                for padded_len, stats in buckets.items()
             ]
             out += [
                 _md_table(["padded len", "batches", "docs", "seconds"], rows),
                 "",
             ]
     else:
-        out += ["_no perf snapshot recorded_", ""]
+        out += ["_no forward batches recorded_", ""]
 
     # -- failure digest -----------------------------------------------------
     out += ["## Failure digest", ""]

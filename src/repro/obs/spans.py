@@ -3,13 +3,12 @@
 A :class:`PhaseProfiler` hands out context-manager spans; nested spans
 compose slash-separated paths (``candidate-gen/lm-filter``), so a phase
 breakdown distinguishes time spent in the LM filter *inside* candidate
-generation from a stand-alone LM pass.  Span totals are kept locally
-(:meth:`report`) and, when a
-:class:`~repro.obs.registry.MetricsRegistry` is attached, mirrored into
-``phase/<path>_seconds`` / ``phase/<path>_calls`` counters — which is
-how worker-side phase time reaches the parent process: the worker's
-registry rides home inside the ``PerfRecorder`` snapshot and merges as
-plain counters.
+generation from a stand-alone LM pass.  Each span lands as
+``phase/<path>_calls`` / ``phase/<path>_seconds`` counters in the attached
+:class:`~repro.obs.registry.MetricsRegistry`; with none attached a span
+only keeps the path stack.  Pool workers rebind :attr:`PhaseProfiler.registry`
+to their own registry, whose snapshot the parent merges like any other
+counters.
 
 One profiler is shared across an :class:`~repro.experiments.common.
 ExperimentContext`'s attacks, paraphrasers, and victims, so every
@@ -25,13 +24,11 @@ __all__ = ["PhaseProfiler"]
 
 
 class PhaseProfiler:
-    """Accumulates wall-time per nested span path."""
+    """Times nested span paths into ``phase/*`` registry counters."""
 
     def __init__(self, registry=None) -> None:
-        #: optional MetricsRegistry mirror (duck-typed: needs ``inc``)
+        #: MetricsRegistry receiving the span counters (duck-typed: needs ``inc``)
         self.registry = registry
-        #: path -> [calls, seconds]
-        self.spans: dict[str, list] = {}
         self._stack: list[str] = []
 
     @contextmanager
@@ -45,32 +42,6 @@ class PhaseProfiler:
         finally:
             elapsed = time.perf_counter() - start
             self._stack.pop()
-            entry = self.spans.setdefault(path, [0, 0.0])
-            entry[0] += 1
-            entry[1] += elapsed
             if self.registry is not None:
                 self.registry.inc(f"phase/{path}_calls")
                 self.registry.inc(f"phase/{path}_seconds", elapsed)
-
-    def report(self) -> dict[str, dict]:
-        """``{path: {"calls": n, "seconds": s}}``, sorted by path."""
-        return {
-            path: {"calls": calls, "seconds": seconds}
-            for path, (calls, seconds) in sorted(self.spans.items())
-        }
-
-    # -- cross-process merging ----------------------------------------------
-    def snapshot(self) -> dict:
-        return {path: list(entry) for path, entry in self.spans.items()}
-
-    def merge(self, snapshot: "dict | PhaseProfiler") -> "PhaseProfiler":
-        if isinstance(snapshot, PhaseProfiler):
-            snapshot = snapshot.snapshot()
-        for path, (calls, seconds) in snapshot.items():
-            entry = self.spans.setdefault(path, [0, 0.0])
-            entry[0] += calls
-            entry[1] += seconds
-        return self
-
-    def reset(self) -> None:
-        self.spans.clear()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.attacks import ObjectiveGreedyWordAttack, ScoreCache, score_key
-from repro.attacks.transformations import apply_word_substitutions
+from repro.text.transformations import apply_word_substitutions
 
 
 class TestScoreCacheUnit:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.attacks.paraphrase import ParaphraseConfig, SentenceParaphraser, WordParaphraser
-from repro.attacks.transformations import (
+from repro.text.transformations import (
     SentenceNeighborSets,
     WordNeighborSets,
     apply_word_substitutions,

@@ -22,7 +22,8 @@ from repro.eval.parallel import (
     fork_available,
     resolve_num_workers,
 )
-from repro.eval.perf import PerfRecorder
+from repro.obs.registry import MetricsRegistry
+from repro.obs.spans import PhaseProfiler
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="fork start method unavailable on this platform"
@@ -118,30 +119,36 @@ class TestResolveNumWorkers:
 
 class TestWorkerPerfAttachment:
     def test_untracked_worker_detaches_forked_recorder(self, victim, word_paraphraser):
-        # with track_perf=False the fork-copied parent recorder must be
-        # dropped, not silently recorded into
+        # with track_metrics=False the fork-copied parent registry must be
+        # dropped from the model and the profiler, not silently recorded into
         attack = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2)
-        prev = victim.perf
-        victim.perf = PerfRecorder()
+        parent = MetricsRegistry()
+        attack.set_profiler(PhaseProfiler(registry=parent))
+        prev = victim.metrics
+        victim.metrics = parent
         try:
-            _init_worker(attack, 0, track_perf=False)
-            assert victim.perf is None
-            assert _WORKER["recorder"] is None
+            _init_worker(attack, 0, track_metrics=False)
+            assert victim.metrics is None
+            assert attack.profiler.registry is None
+            assert _WORKER["metrics"] is None
         finally:
-            victim.perf = prev
+            victim.metrics = prev
 
     def test_tracked_worker_gets_fresh_recorder(self, victim, word_paraphraser):
         attack = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2)
-        prev = victim.perf
-        parent_recorder = PerfRecorder()
-        victim.perf = parent_recorder
+        parent = MetricsRegistry()
+        attack.set_profiler(PhaseProfiler(registry=parent))
+        prev = victim.metrics
+        victim.metrics = parent
         try:
-            _init_worker(attack, 0, track_perf=True)
-            assert isinstance(victim.perf, PerfRecorder)
-            assert victim.perf is not parent_recorder
-            assert _WORKER["recorder"] is victim.perf
+            _init_worker(attack, 0, track_metrics=True)
+            assert isinstance(victim.metrics, MetricsRegistry)
+            assert victim.metrics is not parent
+            assert _WORKER["metrics"] is victim.metrics
+            # phase spans and forwards land in the same worker registry
+            assert attack.profiler.registry is victim.metrics
         finally:
-            victim.perf = prev
+            victim.metrics = prev
 
 
 class TestScoreFnAttachment:
@@ -219,33 +226,21 @@ class TestPerfMerge:
     ):
         docs, targets = corpus_slice
         attack = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2)
-        prev = victim.perf
+        prev = victim.metrics
         try:
-            serial_rec = PerfRecorder()
-            victim.perf = serial_rec
-            ParallelAttackRunner(attack, n_workers=1, perf=serial_rec).run(docs, targets)
-            victim.perf = None
-            pool_rec = PerfRecorder()
-            ParallelAttackRunner(attack, n_workers=2, perf=pool_rec).run(docs, targets)
+            serial = MetricsRegistry()
+            victim.metrics = serial
+            ParallelAttackRunner(attack, n_workers=1).run(docs, targets)
+            victim.metrics = None
+            pooled = MetricsRegistry()
+            ParallelAttackRunner(attack, n_workers=2, metrics=pooled).run(docs, targets)
         finally:
-            victim.perf = prev
-        assert pool_rec.n_forward_docs == serial_rec.n_forward_docs
-        assert pool_rec.n_forward_batches == serial_rec.n_forward_batches
-        assert pool_rec.forward_seconds > 0.0
-
-    def test_snapshot_merge_roundtrip(self):
-        a = PerfRecorder()
-        a.record_forward(4, 16, 0.25)
-        a.increment("queries", 7)
-        b = PerfRecorder()
-        b.record_forward(2, 16, 0.5)
-        b.record_forward(1, 32, 0.125)
-        b.merge(a.snapshot())
-        assert b.n_forward_docs == 7
-        assert b.n_forward_batches == 3
-        assert b.forward_seconds == 0.875
-        assert b.buckets[16].n_docs == 6
-        assert b.counters["queries"] == 7
+            victim.metrics = prev
+        assert serial.counter("forward/docs") > 0
+        for name in serial.counters:
+            if name.startswith("forward/") and not name.endswith("seconds"):
+                assert pooled.counter(name) == serial.counter(name), name
+        assert pooled.counter("forward/seconds") > 0.0
 
 
 class TestReseed:

@@ -1,64 +1,38 @@
-"""Tests for the perf instrumentation (PerfRecorder + BENCH json schema)."""
-
-import json
+"""Tests for the forward metrics a classifier writes and the BENCH json schema."""
 
 import numpy as np
 import pytest
 
-from repro.eval import BucketStats, PerfRecorder, read_bench_json, write_bench_json
+from repro.eval import read_bench_json, write_bench_json
+from repro.obs.registry import MetricsRegistry
+from repro.obs.report import padded_length_stats
 
 
-class TestPerfRecorder:
-    def test_record_forward_accumulates(self):
-        rec = PerfRecorder()
-        rec.record_forward(n_docs=4, padded_len=16, seconds=0.5)
-        rec.record_forward(n_docs=2, padded_len=16, seconds=0.25)
-        rec.record_forward(n_docs=1, padded_len=64, seconds=1.25)
-        assert rec.n_forward_batches == 3
-        assert rec.n_forward_docs == 7
-        assert rec.forward_seconds == pytest.approx(2.0)
-        assert set(rec.buckets) == {16, 64}
-        assert rec.buckets[16] == BucketStats(16, n_batches=2, n_docs=6, seconds=0.75)
+@pytest.fixture
+def recording(victim):
+    """The shared victim fixture with a fresh registry attached, detached after."""
+    prev = victim.metrics
+    victim.metrics = MetricsRegistry()
+    try:
+        yield victim
+    finally:
+        victim.metrics = prev
 
-    def test_docs_per_second(self):
-        rec = PerfRecorder()
-        assert rec.docs_per_second() == 0.0
-        rec.record_forward(10, 8, 2.0)
-        assert rec.docs_per_second() == pytest.approx(5.0)
 
-    def test_mean_padded_length_is_doc_weighted(self):
-        rec = PerfRecorder()
-        assert rec.mean_padded_length() == 0.0
-        rec.record_forward(3, 10, 0.1)
-        rec.record_forward(1, 50, 0.1)
-        assert rec.mean_padded_length() == pytest.approx((3 * 10 + 1 * 50) / 4)
-
-    def test_increment_and_timer(self):
-        rec = PerfRecorder()
-        rec.increment("attacks")
-        rec.increment("attacks", 2.0)
-        assert rec.counters["attacks"] == 3.0
-        with rec.timer("phase"):
-            pass
-        assert rec.counters["phase_seconds"] >= 0.0
-
-    def test_summary_roundtrips_through_json(self):
-        rec = PerfRecorder()
-        rec.record_forward(5, 12, 0.3)
-        rec.increment("n_attacks")
-        summary = rec.summary()
-        assert json.loads(json.dumps(summary)) == summary
-        assert summary["n_forward_docs"] == 5
-        assert summary["buckets"]["12"]["n_docs"] == 5
-
-    def test_reset(self):
-        rec = PerfRecorder()
-        rec.record_forward(5, 12, 0.3)
-        rec.increment("x")
-        rec.reset()
-        assert rec.n_forward_batches == 0
-        assert rec.buckets == {}
-        assert rec.counters == {}
+class TestRecordForward:
+    def test_record_forward_accumulates(self, recording):
+        recording.record_forward(n_docs=4, padded_len=16, seconds=0.5)
+        recording.record_forward(n_docs=2, padded_len=16, seconds=0.25)
+        recording.record_forward(n_docs=1, padded_len=64, seconds=1.25)
+        metrics = recording.metrics
+        assert metrics.counter("forward/batches") == 3
+        assert metrics.counter("forward/docs") == 7
+        assert metrics.counter("forward/seconds") == pytest.approx(2.0)
+        assert metrics.histogram("forward/batch_seconds").count == 3
+        assert padded_length_stats(metrics.counters) == {
+            16: {"batches": 2, "docs": 6, "seconds": 0.75},
+            64: {"batches": 1, "docs": 1, "seconds": 1.25},
+        }
 
 
 class TestBenchJson:
@@ -88,19 +62,20 @@ class TestBenchJson:
 
 
 class TestModelIntegration:
-    def test_classifier_reports_into_attached_recorder(self, victim, atk_corpus):
-        rec = PerfRecorder()
+    def test_classifier_reports_into_attached_recorder(self, recording, atk_corpus):
         docs = atk_corpus.documents("test")[:8]
-        victim.perf = rec
-        try:
-            victim.predict_proba(docs)
-        finally:
-            victim.perf = None
-        assert rec.n_forward_docs == len(docs)
-        assert rec.n_forward_batches >= 1
-        assert rec.forward_seconds > 0.0
+        recording.predict_proba(docs)
+        counters = recording.metrics.counters
+        assert counters["forward/docs"] == len(docs)
+        assert counters["forward/batches"] >= 1
+        assert counters["forward/seconds"] > 0.0
+        # encode time is a phase of its own, kept out of forward latency
+        assert counters["phase/tokenize_calls"] == counters["forward/batches"]
+        buckets = padded_length_stats(counters)
+        assert sum(b["docs"] for b in buckets.values()) == len(docs)
+        assert sum(b["batches"] for b in buckets.values()) == counters["forward/batches"]
         # bucketed inference pads below max_len on these short docs
-        assert rec.mean_padded_length() <= victim.max_len
+        assert max(buckets) <= recording.max_len
 
     def test_no_recorder_is_the_default(self, victim):
-        assert victim.perf is None or isinstance(victim.perf, PerfRecorder)
+        assert victim.metrics is None or isinstance(victim.metrics, MetricsRegistry)

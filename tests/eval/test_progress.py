@@ -66,6 +66,13 @@ class TestHeartbeatMonitor:
         assert registry.gauges["run/failures"] == 1.0
         assert registry.gauges["run/docs_per_second"] > 0.0
 
+    def test_forward_docs_come_from_the_victim_registry(self):
+        metrics = MetricsRegistry()
+        monitor = HeartbeatMonitor(total=1, metrics=metrics)
+        assert monitor.snapshot().n_forward_docs == 0
+        metrics.inc("forward/docs", 12)
+        assert monitor.update(_result()).n_forward_docs == 12
+
     def test_finish_calls_callback_finish_when_present(self):
         calls = []
 

@@ -200,6 +200,24 @@ class TestGridRunner:
         assert runs[True]
         assert runs[True] == runs[False]
 
+    def test_wrapped_victim_forwards_reach_context_at_any_worker_count(self, ctx):
+        # pool workers attach their registry through the smoothing wrapper,
+        # so the wrapped model's forwards come home with the chunk snapshots
+        matrix = small_matrix(
+            defenses=(MatrixDefense.of("smoothing", n_samples=3),),
+            attacks=(MatrixAttack.of("greedy_word"),),
+            max_examples=6,  # enough correctly classified docs to use both workers
+        )
+        forwards = {}
+        for n_workers in (1, 2):
+            context = ExperimentContext(SETTINGS, cache_dir=ctx.cache_dir, n_workers=n_workers)
+            GridRunner(context).run(matrix)
+            forwards[n_workers] = {
+                name: context.metrics.counter(name) for name in ("forward/docs", "forward/batches")
+            }
+        assert forwards[1]["forward/docs"] > 0
+        assert forwards[2] == forwards[1]
+
     def test_max_queries_pinned_on_attack(self, ctx):
         frame = GridRunner(ctx).run(
             small_matrix(attacks=(MatrixAttack.of("greedy_word", max_queries=10),))

@@ -9,14 +9,18 @@ empty batches, single-token documents, and documents at exactly ``max_len``.
 import numpy as np
 import pytest
 
-from repro.models import GRUClassifier, TrainConfig, fit
+from repro.models import GRUClassifier, LSTMClassifier, TrainConfig, fit
 from repro.models.wcnn import WCNN
 from repro.nn.inference import (
     fused_kernel_for,
     register_fused_kernel,
     sigmoid_np,
     softmax_np,
+    stable_kernel_for,
 )
+from repro.nn.losses import softmax_cross_entropy
+from repro.nn.optim import Adam
+from repro.nn.serialization import load_state_dict, state_dict
 
 TOL = 1e-12
 
@@ -151,6 +155,43 @@ class TestDispatchRules:
         register_fused_kernel(Dummy, lambda model, ids, mask: marker)
         assert fused_kernel_for(Dummy()) is not None
         assert fused_kernel_for(object()) is None
+
+
+class TestStableKernelAfterTraining:
+    """The stable kernel reads the weights as they are now, not as first seen.
+
+    The optimizers update parameter arrays in place, so anything keyed on
+    an array's identity would keep serving the pre-training weights.
+    """
+
+    @pytest.mark.parametrize("cls", [WCNN, LSTMClassifier, GRUClassifier])
+    def test_matches_fresh_model_after_in_place_step(
+        self, cls, tiny_corpus, tiny_vocab, tiny_embeddings
+    ):
+        def build():
+            model = cls(tiny_vocab, 72, pretrained_embeddings=tiny_embeddings, seed=0)
+            model.eval()
+            return model
+
+        model = build()
+        kernel = stable_kernel_for(model)
+        examples = tiny_corpus.train[:8]
+        ids, mask = model.encode([list(ex.tokens) for ex in examples])
+        before = kernel(model, ids, mask)
+
+        model.train()
+        optimizer = Adam(model.parameters(), lr=0.05)
+        optimizer.zero_grad()
+        labels = np.array([ex.label for ex in examples])
+        softmax_cross_entropy(model.forward(ids, mask), labels).backward()
+        optimizer.step()
+        model.eval()
+        after = kernel(model, ids, mask)
+
+        fresh = build()
+        load_state_dict(fresh, state_dict(model))
+        assert not np.array_equal(after, before)  # the step moved the weights
+        assert after.tobytes() == kernel(fresh, ids, mask).tobytes()
 
 
 def test_softmax_np_matches_functional():

@@ -12,6 +12,7 @@ from repro.attacks import (
     ObjectiveGreedyWordAttack,
     RandomWordAttack,
 )
+from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import PhaseProfiler
 from repro.obs.trace import TraceRecorder, iter_trace_files, read_trace
 
@@ -62,9 +63,9 @@ def test_previously_uninstrumented_attacks_record_spans(
 ):
     doc, target = attackable_docs[0]
     attack = _attacks(victim, word_paraphraser)[kind]
-    profiler = PhaseProfiler()
-    attack.set_profiler(profiler)
+    registry = MetricsRegistry()
+    attack.set_profiler(PhaseProfiler(registry=registry))
     attack.attack(doc, target)
-    spans = profiler.report()
-    assert any("candidate-gen" in path for path in spans)
-    assert any("forward" in path for path in spans)
+    spans = [name for name in registry.counters if name.startswith("phase/")]
+    assert any("candidate-gen" in name for name in spans)
+    assert any("forward" in name for name in spans)

@@ -11,8 +11,15 @@ import json
 import pytest
 
 from repro.attacks import ObjectiveGreedyWordAttack
+from repro.eval.journal import RunJournal
 from repro.eval.metrics import evaluate_attack
-from repro.obs.report import METRICS_FILENAME, load_run_metrics, render_report
+from repro.obs.registry import MetricsRegistry
+from repro.obs.report import (
+    METRICS_FILENAME,
+    load_run_metrics,
+    padded_length_stats,
+    render_report,
+)
 from repro.obs.trace import iter_trace_files, read_trace, validate_run_dir
 
 N_EXAMPLES = 6
@@ -103,6 +110,37 @@ class TestTraceReconciliation:
         assert f"| documents traced | {evaluation.n_attacked} |" in report
         total = sum(r.n_queries for r in evaluation.results)
         assert f"| total model queries | {total} |" in report
+
+
+class TestSingleSink:
+    """The victim's registry is the one sink for its forwards, at any worker count."""
+
+    def test_context_forwards_reconcile_across_workers(
+        self, victim, word_paraphraser, atk_corpus, tmp_path
+    ):
+        forwards = {}
+        for n_workers in (1, 2):
+            run_dir = tmp_path / f"w{n_workers}"
+            journal_path = tmp_path / f"journal-w{n_workers}.jsonl"
+            prev = victim.metrics
+            victim.metrics = MetricsRegistry()
+            try:
+                _traced_run(
+                    victim, word_paraphraser, atk_corpus, run_dir, n_workers,
+                    journal_path=journal_path,
+                )
+            finally:
+                victim.metrics = prev
+            context = json.loads((run_dir / METRICS_FILENAME).read_text())["context"]
+            counters = context["counters"]
+            buckets = padded_length_stats(counters)
+            assert counters["forward/docs"] == sum(b["docs"] for b in buckets.values())
+            assert counters["forward/batches"] == sum(b["batches"] for b in buckets.values())
+            # the journal's end-of-run record is the same registry snapshot
+            assert RunJournal(journal_path).perf_snapshots[-1] == context
+            forwards[n_workers] = counters["forward/docs"]
+        assert forwards[1] > 0
+        assert forwards[2] == forwards[1]
 
 
 class TestTraceLifecycle:

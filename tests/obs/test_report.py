@@ -64,15 +64,11 @@ def run_dir(tmp_path):
     context.inc("phase/forward_calls", 16)
     context.inc("phase/forward_seconds", 0.2)
     context.observe("forward/batch_seconds", 0.01)
-    perf = {
-        "n_forward_batches": 4,
-        "n_forward_docs": 16,
-        "forward_seconds": 0.2,
-        "buckets": {"32": {"n_batches": 4, "n_docs": 16, "seconds": 0.2}},
-    }
-    write_run_metrics(
-        tmp_path, run.snapshot(), context_snapshot=context.snapshot(), perf_snapshot=perf
-    )
+    for prefix in ("forward/", "forward/padded/32/"):
+        context.inc(prefix + "batches", 4)
+        context.inc(prefix + "docs", 16)
+        context.inc(prefix + "seconds", 0.2)
+    write_run_metrics(tmp_path, run.snapshot(), context_snapshot=context.snapshot())
     append_failure(
         tmp_path,
         {"doc_index": 5, "error_type": "ValueError", "error_message": "bad doc"},
@@ -102,15 +98,16 @@ class TestWriteRunMetrics:
         assert payload["run"]["counters"]["attack/docs"] == 6
         assert payload["run"]["histograms"]["attack/wall_time_seconds"]["count"] == 2
 
-    def test_registry_key_stripped_from_perf(self, tmp_path):
-        path = write_run_metrics(
-            tmp_path,
-            MetricsRegistry().snapshot(),
-            perf_snapshot={"n_forward_docs": 2, "registry": {"counters": {}}},
-        )
+    def test_rewrite_replaces_context_section(self, tmp_path):
+        """The context registry is cumulative: the latest snapshot wins."""
+        context = MetricsRegistry()
+        context.inc("forward/docs", 2)
+        write_run_metrics(tmp_path, MetricsRegistry().snapshot(), context.snapshot())
+        context.inc("forward/docs", 3)
+        path = write_run_metrics(tmp_path, MetricsRegistry().snapshot(), context.snapshot())
         payload = json.loads(path.read_text())
-        assert "registry" not in payload["perf"]
-        assert payload["perf"]["n_forward_docs"] == 2
+        assert set(payload) == {"schema_version", "run", "context"}
+        assert payload["context"]["counters"]["forward/docs"] == 5
 
     def test_corrupt_existing_file_is_replaced(self, tmp_path):
         (tmp_path / METRICS_FILENAME).write_text("{not json")
@@ -174,13 +171,15 @@ class TestRenderReport:
         assert "| lazy-heap rescans | 6 |" in report
         assert "| candidate-gen |" in report
         assert "batch latency p50" in report
+        assert "| forward docs | 16 |" in report
+        assert "| 32 | 4 | 16 | 0.200 |" in report  # the padded-length table
         assert "| ValueError | 1 | bad doc |" in report
 
     def test_empty_run_dir_renders_placeholders(self, tmp_path):
         report = render_report(tmp_path)
         assert "| documents traced | 0 |" in report
         assert "_no phase spans recorded_" in report
-        assert "_no perf snapshot recorded_" in report
+        assert "_no forward batches recorded_" in report
         assert "_no failures_" in report
 
     def test_per_cell_table_appears_with_multiple_cells(self, tmp_path):

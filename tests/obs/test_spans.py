@@ -1,4 +1,4 @@
-"""PhaseProfiler: nested span paths, registry mirroring, merging."""
+"""PhaseProfiler: nested span paths land as ``phase/*`` registry counters."""
 
 import pytest
 
@@ -6,53 +6,57 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import PhaseProfiler
 
 
+def phases(registry: MetricsRegistry) -> set[str]:
+    """Span paths recorded in ``registry`` (from their ``_calls`` counters)."""
+    return {
+        name[len("phase/") : -len("_calls")]
+        for name in registry.counters
+        if name.startswith("phase/") and name.endswith("_calls")
+    }
+
+
 class TestSpanNesting:
     def test_flat_span_accumulates(self):
-        prof = PhaseProfiler()
+        reg = MetricsRegistry()
+        prof = PhaseProfiler(registry=reg)
         with prof.span("tokenize"):
             pass
         with prof.span("tokenize"):
             pass
-        report = prof.report()
-        assert report["tokenize"]["calls"] == 2
-        assert report["tokenize"]["seconds"] >= 0.0
+        assert reg.counter("phase/tokenize_calls") == 2.0
+        assert reg.counter("phase/tokenize_seconds") >= 0.0
 
     def test_nested_spans_compose_slash_paths(self):
-        prof = PhaseProfiler()
+        reg = MetricsRegistry()
+        prof = PhaseProfiler(registry=reg)
         with prof.span("candidate-gen"):
             with prof.span("lm-filter"):
                 pass
         with prof.span("lm-filter"):
             pass
-        report = prof.report()
         # nested LM time is distinguishable from a stand-alone LM pass
-        assert set(report) == {"candidate-gen", "candidate-gen/lm-filter", "lm-filter"}
-        assert report["candidate-gen/lm-filter"]["calls"] == 1
-        assert report["lm-filter"]["calls"] == 1
+        assert phases(reg) == {"candidate-gen", "candidate-gen/lm-filter", "lm-filter"}
+        assert reg.counter("phase/candidate-gen/lm-filter_calls") == 1.0
+        assert reg.counter("phase/lm-filter_calls") == 1.0
 
     def test_outer_span_time_includes_inner(self):
-        prof = PhaseProfiler()
+        reg = MetricsRegistry()
+        prof = PhaseProfiler(registry=reg)
         with prof.span("outer"):
             with prof.span("inner"):
                 pass
-        report = prof.report()
-        assert report["outer"]["seconds"] >= report["outer/inner"]["seconds"]
+        assert reg.counter("phase/outer_seconds") >= reg.counter("phase/outer/inner_seconds")
 
     def test_stack_unwinds_on_exception(self):
-        prof = PhaseProfiler()
+        reg = MetricsRegistry()
+        prof = PhaseProfiler(registry=reg)
         with pytest.raises(RuntimeError):
             with prof.span("outer"):
                 raise RuntimeError("boom")
         with prof.span("after"):
             pass
-        assert set(prof.report()) == {"outer", "after"}  # not "outer/after"
-
-    def test_report_is_sorted_by_path(self):
-        prof = PhaseProfiler()
-        for name in ("zeta", "alpha"):
-            with prof.span(name):
-                pass
-        assert list(prof.report()) == ["alpha", "zeta"]
+        assert phases(reg) == {"outer", "after"}  # not "outer/after"
+        assert reg.counter("phase/outer_calls") == 1.0  # the raising span still counts
 
 
 class TestRegistryMirror:
@@ -71,31 +75,38 @@ class TestRegistryMirror:
     def test_no_registry_is_fine(self):
         prof = PhaseProfiler(registry=None)
         with prof.span("a"):
+            with prof.span("b"):
+                pass
+        # the path stack still unwinds: a registry attached later sees
+        # top-level paths, not leftovers of the unrecorded spans
+        prof.registry = reg = MetricsRegistry()
+        with prof.span("c"):
             pass
-        assert prof.report()["a"]["calls"] == 1
+        assert phases(reg) == {"c"}
 
     def test_rebinding_registry_redirects_mirror(self):
         """_init_worker rebinds the shared profiler to the worker registry."""
-        prof = PhaseProfiler(registry=MetricsRegistry())
+        parent_reg = MetricsRegistry()
+        prof = PhaseProfiler(registry=parent_reg)
         worker_reg = MetricsRegistry()
         prof.registry = worker_reg
         with prof.span("forward"):
             pass
         assert worker_reg.counter("phase/forward_calls") == 1.0
+        assert parent_reg.counters == {}
 
 
 class TestMerging:
     def test_merge_sums_calls_and_seconds(self):
-        a, b = PhaseProfiler(), PhaseProfiler()
-        for prof in (a, b):
-            with prof.span("forward"):
+        """Two workers' span counters fold into one parent registry."""
+        workers = [MetricsRegistry(), MetricsRegistry()]
+        for reg in workers:
+            with PhaseProfiler(registry=reg).span("forward"):
                 pass
-        merged = PhaseProfiler().merge(a.snapshot()).merge(b)
-        assert merged.report()["forward"]["calls"] == 2
-
-    def test_reset(self):
-        prof = PhaseProfiler()
-        with prof.span("x"):
-            pass
-        prof.reset()
-        assert prof.report() == {}
+        parent = MetricsRegistry()
+        for reg in workers:
+            parent.merge(reg.snapshot())
+        assert parent.counter("phase/forward_calls") == 2.0
+        assert parent.counter("phase/forward_seconds") == sum(
+            reg.counter("phase/forward_seconds") for reg in workers
+        )

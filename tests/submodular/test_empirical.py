@@ -60,7 +60,7 @@ class TestClassifierAttackSetFunction:
             classifier_attack_set_function(victim, doc, ns, 5)
 
     def test_no_attackable_positions(self, victim, word_paraphraser):
-        from repro.attacks.transformations import WordNeighborSets
+        from repro.text.transformations import WordNeighborSets
 
         ns = WordNeighborSets([[], []])
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from repro.attacks import (
     WordParaphraser,
     ParaphraseConfig,
 )
-from repro.attacks.transformations import WordNeighborSets
+from repro.text.transformations import WordNeighborSets
 from repro.data.datasets import Example, TextDataset
 from repro.eval.metrics import evaluate_attack
 from repro.models import WCNN, TrainConfig, fit

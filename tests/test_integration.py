@@ -8,7 +8,7 @@ real models, complementing the per-module unit tests.
 import numpy as np
 
 from repro.attacks import JointParaphraseAttack
-from repro.attacks.transformations import apply_word_substitutions
+from repro.text.transformations import apply_word_substitutions
 from repro.eval.metrics import evaluate_attack
 from repro.models.bow import BowClassifier
 from repro.submodular.modular import modular_relaxation_bow

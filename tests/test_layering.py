@@ -7,8 +7,8 @@ The architecture is a DAG of layers::
 
 Every ``repro.<pkg>`` module may import only from strictly lower-ranked
 packages (or its own).  Back-edges — like the pre-refactor
-``data.urls`` / ``submodular.empirical`` imports of
-``repro.attacks.transformations`` — break the "one scoring choke point"
+``data.urls`` / ``submodular.empirical`` imports of the transformation
+containers from the attacks layer — break the "one scoring choke point"
 story and make fork-pool pickling and incremental builds fragile, so this
 test fails the build on any new one.
 """

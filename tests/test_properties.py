@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.attacks.base import count_word_changes
-from repro.attacks.transformations import apply_word_substitutions, transformation_support
+from repro.text.transformations import apply_word_substitutions, transformation_support
 from repro.nn.losses import softmax_cross_entropy
 from repro.nn.tensor import Tensor
 from repro.submodular.greedy import greedy_maximize
