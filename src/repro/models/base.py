@@ -20,7 +20,7 @@ from collections.abc import Iterator, Sequence
 import numpy as np
 
 from repro.nn.functional import softmax
-from repro.nn.inference import fused_kernel_for, softmax_np
+from repro.nn.inference import fused_kernel_for, gradient_kernel_for, softmax_np
 from repro.nn.layers import Embedding, Module
 from repro.nn.tensor import Tensor, no_grad
 from repro.text.vocab import Vocabulary
@@ -205,8 +205,8 @@ class TextClassifier(Module):
     def _parameters_detached(self) -> Iterator[None]:
         """Temporarily exclude model parameters from the autograd graph.
 
-        ``embedding_gradient`` differentiates w.r.t. a fresh embedding leaf
-        only; with parameters still requiring grad, every backward pass also
+        ``_autograd_embedding_gradient`` differentiates w.r.t. a fresh
+        embedding leaf only; with parameters still requiring grad, every backward pass also
         accumulates into ``p.grad`` of every weight — work the attacks never
         use, and stale gradients that would contaminate a later training
         step unless the optimizer zeroes first.
@@ -228,20 +228,40 @@ class TextClassifier(Module):
 
         Returns an array of shape ``(len(doc), D)`` (truncated to
         ``max_len``); rows for padding are never produced.
+
+        A gradient kernel registered for the exact model type
+        (:func:`repro.nn.inference.register_gradient_kernel`) serves the
+        call, bitwise equal to autograd; unregistered classes and
+        inference-time dropout, which draws from the model's RNG inside the
+        forward, take :meth:`_autograd_embedding_gradient`.
+        """
+        ids, mask = self.encode([list(doc)])
+        emb, mask = self.embedding.weight.data[ids[0]], mask[0]
+        kernel = gradient_kernel_for(self)
+        if kernel is not None and not getattr(self, "inference_dropout", 0.0):
+            grad = kernel(self, emb, mask, target_label)
+        else:
+            grad = self._autograd_embedding_gradient(emb, mask, target_label)
+        return grad[: int(mask.sum())]
+
+    def _autograd_embedding_gradient(
+        self, emb: np.ndarray, mask: np.ndarray, target_label: int
+    ) -> np.ndarray:
+        """The reference gradient: backward through the autograd forward.
+
+        Takes one document's padded ``(T, D)`` embedding values and
+        ``(T,)`` mask, the gradient kernels' signature, and returns the
+        ``(T, D)`` gradient, computed in eval mode.
         """
         was_training = self.training
         self.eval()
         try:
-            ids, mask = self.encode([list(doc)])
-            emb_values = self.embedding.weight.data[ids]
-            emb = Tensor(emb_values, requires_grad=True)
+            leaf = Tensor(emb[None], requires_grad=True)
             with self._parameters_detached():
-                logits = self.forward_from_embeddings(emb, mask)
+                logits = self.forward_from_embeddings(leaf, mask[None])
                 prob = softmax(logits, axis=-1)[0, target_label]
                 prob.backward()
-            grad = emb.grad[0]
+            return leaf.grad[0]
         finally:
             if was_training:
                 self.train()
-        n_real = int(mask[0].sum())
-        return grad[:n_real]

@@ -15,7 +15,10 @@ from repro.nn.inference import (
     dense_np,
     lstm_forward_np,
     register_fused_kernel,
+    register_gradient_kernel,
     register_stable_kernel,
+    sigmoid_np,
+    softmax_target_grad_np,
     stable_dense_np,
     stable_matmul_operand,
 )
@@ -85,6 +88,72 @@ def _lstm_stable_logits(
     )
 
 
+def _lstm_embedding_gradient(
+    model: LSTMClassifier, emb: np.ndarray, mask: np.ndarray, target: int
+) -> np.ndarray:
+    """Backprop through time by hand, bitwise the autograd embedding gradient.
+
+    The forward saves each real step's activations ``i f g o``, the cell
+    state it read and ``tanh`` of the one it wrote; the backward replays
+    autograd's elementwise order (sigmoid ``(d*s)*(1-s)``, tanh
+    ``d*(1-t**2)``).  Padded steps carry the state, and its gradient,
+    through exactly and have zero gate gradients, so both loops skip them.
+    The two GEMMs keep the padded ``T`` rows: BLAS picks its micro-kernel
+    by row count, and fewer rows change the bits of the real ones.
+    """
+    lstm, head = model.lstm, model.head
+    w_x, w_h, bias = lstm.w_x.data, lstm.w_h.data, lstm.bias.data
+    hid = w_h.shape[1]
+    steps = np.flatnonzero(mask)
+    n = len(steps)
+    x_proj = emb @ w_x.T
+    acts = np.empty((n, 4 * hid))
+    c_seq = np.zeros((n + 1, hid))  # c_seq[k] is the cell state step k reads
+    tanh_c = np.empty((n, hid))
+    h = np.zeros((1, hid))
+    wh_t = w_h.T
+    for k, t in enumerate(steps):
+        gates = acts[k : k + 1]
+        np.matmul(h, wh_t, out=gates)
+        gates += x_proj[t]
+        gates += bias
+        g = np.tanh(gates[:, 2 * hid : 3 * hid])
+        sigmoid_np(gates, out=gates)
+        gates[:, 2 * hid : 3 * hid] = g
+        c = c_seq[k + 1 : k + 2]
+        np.multiply(gates[:, hid : 2 * hid], c_seq[k : k + 1], out=c)
+        c += gates[:, :hid] * g
+        np.tanh(c, out=tanh_c[k : k + 1])
+        h = gates[:, 3 * hid :] * tanh_c[k]
+
+    i, f, g, o = (acts[:, j * hid : (j + 1) * hid] for j in range(4))
+    # d_gates = (upstream * scale) * slope per block: (d*s)*(1-s) for the
+    # sigmoid gates, (d*1.0)*(1-g**2) == d*(1-g**2) for the tanh gate
+    scale = acts.copy()
+    scale[:, 2 * hid : 3 * hid] = 1.0
+    slope = 1.0 - acts
+    slope[:, 2 * hid : 3 * hid] = 1.0 - g**2
+    d_tanh_c = 1.0 - tanh_c**2
+    by_d_c = np.stack([g, c_seq[:-1], i], axis=1)  # d_c_new's factors for i, f, g
+    head_bias = head.bias.data if head.bias is not None else None
+    d_logits = softmax_target_grad_np(dense_np(h, head.weight.data, head_bias), target)
+    d_h = d_logits @ head.weight.data
+    d_c = np.zeros((1, hid))
+    d_x_proj = np.zeros_like(x_proj)
+    upstream = np.empty((4, hid))
+    for k in range(n - 1, -1, -1):
+        d_c_new = d_c + (d_h * o[k]) * d_tanh_c[k]
+        d_c = d_c_new * f[k]
+        np.multiply(d_c_new, by_d_c[k], out=upstream[:3])
+        np.multiply(d_h, tanh_c[k], out=upstream[3:])
+        d_gates = d_x_proj[steps[k] : steps[k] + 1]
+        np.multiply(upstream.reshape(1, -1), scale[k], out=d_gates)
+        d_gates *= slope[k]
+        d_h = d_gates @ w_h
+    return d_x_proj @ w_x
+
+
 register_fused_kernel(LSTMClassifier, _lstm_fused_logits)
+register_gradient_kernel(LSTMClassifier, _lstm_embedding_gradient)
 register_stable_kernel(LSTMClassifier, _lstm_stable_logits)
 register_delta_kernel(LSTMClassifier, RecurrentDeltaKernel("lstm", "lstm"))

@@ -20,7 +20,9 @@ from repro.nn.inference import (
     dense_np,
     max_over_time_np,
     register_fused_kernel,
+    register_gradient_kernel,
     register_stable_kernel,
+    softmax_target_grad_np,
     stable_dense_np,
     stable_matmul_operand,
 )
@@ -131,6 +133,41 @@ def _wcnn_stable_logits(model: WCNN, token_ids: np.ndarray, mask: np.ndarray) ->
     )
 
 
+def _wcnn_embedding_gradient(
+    model: WCNN, emb: np.ndarray, mask: np.ndarray, target: int
+) -> np.ndarray:
+    """The conv backward by hand, bitwise the autograd embedding gradient.
+
+    The pooled gradient reaches each filter's first argmax window of the
+    penalised map where ``pre > 0`` (the ReLU mask), one ``(1, n_win, F)``
+    GEMM maps it to the windows, and the windows scatter back to positions
+    in ``np.add.at`` order: a position's addends arrive window offset
+    ``h - 1`` first, ``0`` last.  Up to ``h`` addends per position make
+    that order visible in the bits.
+    """
+    conv, head = model.conv, model.head
+    size = conv.kernel_size
+    starts = conv.window_starts(len(emb))
+    pre = conv1d_np(emb[None], conv.weight.data, conv.bias.data, size, conv.stride)
+    penalty = np.where(mask[starts], 0.0, MaxOverTime.NEG)[None, :, None]
+    scores = np.maximum(pre, 0.0) + penalty
+    best = scores.argmax(axis=1)[0]
+    filters = np.arange(len(best))
+    pooled = scores[:, best, filters]
+
+    head_bias = head.bias.data if head.bias is not None else None
+    d_logits = softmax_target_grad_np(dense_np(pooled, head.weight.data, head_bias), target)
+    d_pooled = (d_logits @ head.weight.data)[0]
+    d_pre = np.zeros_like(pre)
+    d_pre[0, best, filters] = np.where(pre[0, best, filters] > 0, d_pooled, 0.0)
+    d_windows = (d_pre @ conv.weight.data).reshape(len(starts), size, -1)
+    d_emb = np.zeros_like(emb)
+    for j in range(size - 1, -1, -1):
+        d_emb[starts + j] += d_windows[:, j]
+    return d_emb
+
+
 register_fused_kernel(WCNN, _wcnn_fused_logits)
+register_gradient_kernel(WCNN, _wcnn_embedding_gradient)
 register_stable_kernel(WCNN, _wcnn_stable_logits)
 register_delta_kernel(WCNN, ConvDeltaKernel())

@@ -18,9 +18,17 @@ fused and reference probabilities agree exactly (the parity tests assert
 Model classes opt in through :func:`register_fused_kernel`; dispatch
 happens in :meth:`repro.models.base.TextClassifier.predict_proba` whenever
 no gradient is needed and scoring is deterministic.  The autograd forward
-is kept untouched as the reference implementation — gradient-guided attacks
-still use it for the gradient step, and ``fused_inference = False`` (or an
-unregistered model class) falls back to it.
+is kept untouched as the reference implementation; ``fused_inference =
+False`` (or an unregistered model class) falls back to it.
+
+Registered *gradient* kernels (:func:`register_gradient_kernel`) serve
+:meth:`repro.models.base.TextClassifier.embedding_gradient`, the embedding
+gradient of one class probability that gradient-guided attacks rank words
+by.  Each replays the autograd backward by hand — same ops, same operand
+shapes, same accumulation order — so its gradient is bitwise the autograd
+one; :func:`softmax_target_grad_np` is the shared softmax step.  Autograd
+stays the reference, and the path for training, inference-time dropout
+and unregistered classes.
 
 Registered *stable* kernels (:func:`register_stable_kernel`) trade the
 op-order match for rows that do not depend on their batch-mates; they are
@@ -44,6 +52,9 @@ __all__ = [
     "fused_kernel_for",
     "register_stable_kernel",
     "stable_kernel_for",
+    "register_gradient_kernel",
+    "gradient_kernel_for",
+    "softmax_target_grad_np",
     "stable_matmul_operand",
     "stable_dense_np",
     "softmax_np",
@@ -61,8 +72,12 @@ __all__ = [
 # kernel signature: (model, token_ids (B, T) int, mask (B, T) bool) -> logits (B, C)
 FusedKernel = Callable[[object, np.ndarray, np.ndarray], np.ndarray]
 
+# kernel signature: (model, emb (T, D), mask (T,) bool, target label) -> grad (T, D)
+GradientKernel = Callable[[object, np.ndarray, np.ndarray, int], np.ndarray]
+
 _REGISTRY: dict[type, FusedKernel] = {}
 _STABLE_REGISTRY: dict[type, FusedKernel] = {}
+_GRADIENT_REGISTRY: dict[type, GradientKernel] = {}
 
 M = TypeVar("M", bound=type)
 
@@ -103,6 +118,23 @@ def stable_kernel_for(model: object) -> FusedKernel | None:
     return _STABLE_REGISTRY.get(type(model))
 
 
+def register_gradient_kernel(model_cls: type, kernel: GradientKernel) -> None:
+    """Register a graph-free embedding gradient for ``model_cls``.
+
+    ``kernel(model, emb, mask, target)`` returns the gradient of
+    ``softmax(logits)[0, target]`` with respect to one document's padded
+    ``(T, D)`` embedding values, bitwise equal to the autograd gradient.  It
+    computes the eval-mode forward; callers route inference-time dropout to
+    autograd.  Same exact-type lookup rule as :func:`register_fused_kernel`.
+    """
+    _GRADIENT_REGISTRY[model_cls] = kernel
+
+
+def gradient_kernel_for(model: object) -> GradientKernel | None:
+    """The registered gradient kernel for ``type(model)``, or None (autograd)."""
+    return _GRADIENT_REGISTRY.get(type(model))
+
+
 # ---------------------------------------------------------------------------
 # primitives — each replicates the autograd op sequence exactly
 # ---------------------------------------------------------------------------
@@ -117,6 +149,24 @@ def softmax_np(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = logits - logits.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     return np.exp(shifted - np.log(e.sum(axis=axis, keepdims=True)))
+
+
+def softmax_target_grad_np(logits: np.ndarray, target: int) -> np.ndarray:
+    """Gradient of ``softmax(logits)[0, target]`` w.r.t. ``(1, C)`` logits.
+
+    The autograd backward of :func:`repro.nn.functional.softmax`
+    (``log_softmax(x).exp()``), op for op: the one-hot times the
+    probability flows into the shifted logits directly and through the
+    ``log(sum(exp))`` normaliser, and the two branches add.
+    """
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    s = e.sum(axis=-1, keepdims=True)
+    probs = np.exp(shifted - np.log(s))
+    d_log_probs = np.zeros_like(probs)
+    d_log_probs[0, target] = probs[0, target]
+    d_s = -d_log_probs.sum(axis=-1, keepdims=True) / s
+    return d_log_probs + d_s * e
 
 
 def sigmoid_np(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -13,6 +13,7 @@ from repro.models import GRUClassifier, LSTMClassifier, TrainConfig, fit
 from repro.models.wcnn import WCNN
 from repro.nn.inference import (
     fused_kernel_for,
+    gradient_kernel_for,
     register_fused_kernel,
     sigmoid_np,
     softmax_np,
@@ -116,10 +117,15 @@ class TestDispatchRules:
 
     def test_inference_dropout_falls_back(self, trained_wcnn, tiny_corpus):
         # Bayesian dropout draws from the model's own RNG stream, which only
-        # the reference path reproduces — the fused path must step aside
+        # the reference path reproduces — the fused path must step aside,
+        # and so must the gradient kernel
         trained_wcnn.inference_dropout = 0.2
         try:
             assert not trained_wcnn._fused_active()
+            rng = trained_wcnn._dropout_rng
+            before = rng.bit_generator.state
+            trained_wcnn.embedding_gradient(tiny_corpus.documents("test")[0], 1)
+            assert rng.bit_generator.state != before
         finally:
             trained_wcnn.inference_dropout = 0.0
         assert trained_wcnn._fused_active()
@@ -142,6 +148,7 @@ class TestDispatchRules:
         )
         model.eval()
         assert fused_kernel_for(model) is None
+        assert gradient_kernel_for(model) is None
         assert not model._fused_active()
         # the reference path still serves it
         probs = model.predict_proba([[tiny_vocab.word(2)]])
