@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from benchmarks.conftest import run_once
-from repro.eval.parallel import fork_available
+from repro.eval.parallel import ParallelAttackRunner, fork_available
 from repro.eval.perf import write_bench_json
 from repro.nn.delta import DeltaScoreFn
 from repro.obs.registry import MetricsRegistry
@@ -210,7 +210,9 @@ def test_inference_perf(benchmark, ctx):
         worker_counts = (1, 2, 4) if fork_available() else (1,)
         reference = None  # serial adversarial docs
         for workers in worker_counts:
-            runner = ctx.attack_runner(attack, n_workers=workers)
+            runner = ParallelAttackRunner(
+                attack, n_workers=workers, base_seed=ctx.settings.seed, metrics=ctx.metrics
+            )
             start = time.perf_counter()
             results = runner.run(attack_docs, targets)
             elapsed = time.perf_counter() - start

@@ -1,6 +1,7 @@
 """Evaluation: attack metrics, the simulated human study, and table rendering."""
 
 from repro.eval.artifacts import ResultsWriter, rows_to_records, write_csv, write_json
+from repro.eval.config import RunConfig
 from repro.eval.human_sim import (
     HumanEvalResult,
     SimulatedAnnotator,
@@ -36,6 +37,7 @@ from repro.eval.reporting import (
 __all__ = [
     "AttackEvaluation",
     "evaluate_attack",
+    "RunConfig",
     "ParallelAttackRunner",
     "RunnerFaultPolicy",
     "WorkerCountError",

@@ -44,15 +44,12 @@ import numpy as np
 
 from repro.attacks.base import Attack, AttackFailure, AttackResult
 from repro.data.datasets import Example
+from repro.eval.config import RunConfig
 from repro.eval.journal import RunJournal, corpus_fingerprint
-from repro.eval.parallel import (
-    NUM_WORKERS_ENV,
-    ParallelAttackRunner,
-    resolve_num_workers,
-)
+from repro.eval.parallel import ParallelAttackRunner
 from repro.eval.progress import HeartbeatMonitor
 from repro.models.base import TextClassifier
-from repro.obs.exporter import TelemetryServer, resolve_telemetry_port
+from repro.obs.exporter import TelemetryServer
 from repro.obs.registry import MetricsRegistry
 from repro.obs.report import append_failure, write_run_metrics
 from repro.obs.timeseries import SERIES_FILENAME, TimeSeriesSampler
@@ -129,18 +126,22 @@ def evaluate_attack(
     trace_every_n: int | None = None,
     delta_scoring: bool | None = None,
     telemetry: TelemetryServer | None = None,
-    telemetry_port: int | None = None,
 ) -> AttackEvaluation:
     """Attack every correctly-classified example and aggregate the outcome.
 
     The target label is always the flip of the true label (binary,
     untargeted-as-targeted, the paper's setting).
 
+    One of the two entry points that read the environment
+    (:mod:`repro.eval.config`): a ``None`` ``n_workers``,
+    ``delta_scoring`` or ``trace_every_n``, and the series sampling
+    interval, fall back to their ``REPRO_*`` variables, then to serial,
+    full forwards, every document and 1 s.
+
     ``n_workers`` > 1 shards the per-document attack loop across forked
     processes via :class:`~repro.eval.parallel.ParallelAttackRunner`
     (results are deterministic in the worker count; the serial path is
-    the same runner with one worker).  The default of ``None`` stays
-    serial unless ``REPRO_NUM_WORKERS`` is set.
+    the same runner with one worker).
 
     ``journal_path`` appends each completed document to a JSONL run
     journal and resumes from it if it already exists (see module
@@ -149,29 +150,31 @@ def evaluate_attack(
 
     ``trace_dir`` writes per-document attack traces, ``failures.jsonl``
     and ``metrics.json`` into that directory; ``trace_every_n`` samples
-    the traces (every n-th document, default 1 via
-    ``REPRO_TRACE_EVERY_N``).
+    the traces (every n-th document).
 
     ``delta_scoring`` scores single-edit candidates incrementally
-    (:mod:`repro.nn.delta`; bitwise identical results); ``None`` defers
-    to ``REPRO_DELTA_SCORING``.
+    (:mod:`repro.nn.delta`; bitwise identical results).
 
     ``telemetry`` attaches a caller-owned (typically
     :class:`~repro.experiments.common.ExperimentContext`-owned)
     :class:`~repro.obs.exporter.TelemetryServer`: this run's live
     registry, health and series are published to it while the run is
     alive and frozen into it at the end, so post-run scrapes match
-    ``metrics.json``.  Without one, ``telemetry_port`` (or
-    ``REPRO_TELEMETRY_PORT``) makes this call start and stop its own
-    exporter.  Either way a :class:`~repro.obs.timeseries.
-    TimeSeriesSampler` records the run's trajectory — riding the
-    heartbeat in serial runs, on a background thread under the pool —
-    into ``series.jsonl`` next to ``metrics.json`` when ``trace_dir`` is
-    set.  Telemetry is read-only: attack results are bitwise identical
-    with it on or off.
+    ``metrics.json``.  With a server or a ``trace_dir``, a
+    :class:`~repro.obs.timeseries.TimeSeriesSampler` records the run's
+    trajectory — riding the heartbeat in serial runs, on a background
+    thread under the pool — into ``series.jsonl`` next to
+    ``metrics.json`` when ``trace_dir`` is set.  Telemetry is read-only:
+    attack results are bitwise identical with it on or off.
     """
     if not examples:
         raise ValueError("cannot evaluate an attack on zero examples")
+    config = RunConfig.from_env(
+        n_workers=n_workers,
+        delta_scoring=delta_scoring,
+        trace_every_n=trace_every_n,
+        series_interval=None,
+    )
     if max_examples is not None and len(examples) > max_examples:
         rng = np.random.default_rng(seed)
         idx = rng.choice(len(examples), size=max_examples, replace=False)
@@ -190,10 +193,6 @@ def evaluate_attack(
         # misclassified examples are already errors; they stay unperturbed
         # and remain errors in adversarial accuracy
     ]
-
-    if n_workers is None:
-        env_set = bool(os.environ.get(NUM_WORKERS_ENV, "").strip())
-        n_workers = resolve_num_workers(None) if env_set else 1
 
     # -- journal: load completed outcomes, schedule only the remainder ------
     journal: RunJournal | None = None
@@ -235,18 +234,12 @@ def evaluate_attack(
             merged.merge(context_metrics.snapshot())
         return merged.snapshot()
 
-    server = telemetry
-    own_server = False
-    if server is None:
-        port = resolve_telemetry_port(telemetry_port)
-        if port is not None:
-            server = TelemetryServer(port=port)
-            own_server = True
     sampler: TimeSeriesSampler | None = None
-    if trace_dir is not None or server is not None:
+    if trace_dir is not None or telemetry is not None:
         sampler = TimeSeriesSampler(
             _live_snapshot,
             path=Path(trace_dir) / SERIES_FILENAME if trace_dir is not None else None,
+            interval_seconds=config.series_interval,
         )
     monitor = HeartbeatMonitor(
         total=len(attacked),
@@ -257,10 +250,8 @@ def evaluate_attack(
         registry=run_registry,
         sampler=sampler,
     )
-    if server is not None:
-        if own_server:
-            server.start()
-        server.publish(
+    if telemetry is not None:
+        telemetry.publish(
             _live_snapshot,
             health_fn=lambda: _telemetry_health(monitor),
             series_fn=(lambda: sampler.points) if sampler is not None else None,
@@ -289,19 +280,19 @@ def evaluate_attack(
     fresh: dict[int, AttackResult | AttackFailure] = {}
     prior_tracer = attack.tracer
     if trace_dir is not None:
-        attack.tracer = TraceRecorder(trace_dir, trace_every_n=trace_every_n)
+        attack.tracer = TraceRecorder(trace_dir, trace_every_n=config.trace_every_n)
     try:
         if todo:
-            if sampler is not None and n_workers > 1:
+            if sampler is not None and config.n_workers > 1:
                 # pooled chunk results land bursty; a parent-side thread
                 # keeps the cadence steady between heartbeats
                 sampler.start()
             runner = ParallelAttackRunner(
                 attack,
-                n_workers=n_workers,
+                n_workers=config.n_workers,
                 base_seed=seed,
                 on_result=on_result,
-                delta_scoring=delta_scoring,
+                delta_scoring=config.delta_scoring,
             )
             outcomes = runner.run(
                 [doc for _, _, doc, _ in todo],
@@ -318,10 +309,8 @@ def evaluate_attack(
         # after the last worker snapshot merge, so the series'
         # final point reconciles exactly with metrics.json
         sampler.close()
-    if server is not None:
-        server.freeze()
-        if own_server:
-            server.stop()
+    if telemetry is not None:
+        telemetry.freeze()
     # after the last worker snapshot merge: the journal's perf record and
     # metrics.json's context section are one and the same snapshot
     context_snapshot = context_metrics.snapshot() if context_metrics is not None else None

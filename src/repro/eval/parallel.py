@@ -48,28 +48,23 @@ processes:
   runner degrades to an in-process loop with the same reseeding and error
   isolation, so results never depend on the platform.
 
-- **incremental delta scoring** — with ``REPRO_DELTA_SCORING=1`` (or
-  ``delta_scoring=True``) each worker scores single-edit candidates
-  incrementally (:mod:`repro.nn.delta`): recurrent victims re-run only
-  the suffix after the edit from a cached prefix state, the WCNN
-  recomputes only the conv windows overlapping the edit.  Delta-scored
-  runs are deterministic at any worker count.
+- **incremental delta scoring** — with ``delta_scoring=True`` each
+  worker scores single-edit candidates incrementally
+  (:mod:`repro.nn.delta`): recurrent victims re-run only the suffix after
+  the edit from a cached prefix state, the WCNN recomputes only the conv
+  windows overlapping the edit.  Delta-scored runs are deterministic at
+  any worker count.
 
-``REPRO_NUM_WORKERS`` overrides the worker count everywhere the runner is
-wired in (``evaluate_attack``, the table drivers, the perf benchmark);
-unset, the runner defaults to ``os.cpu_count()``.  An unparseable or
-non-positive value raises :class:`WorkerCountError` naming the variable;
-a value beyond ``os.cpu_count()`` is clamped to it with a warning
-(explicit ``n_workers`` arguments are never clamped).
+The runner takes plain values: one worker (serial) and full forwards
+unless told otherwise.  ``REPRO_NUM_WORKERS`` and ``REPRO_DELTA_SCORING``
+are resolved once, by :mod:`repro.eval.config` at the entry points.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 import traceback
-import warnings
 from collections import deque
 from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -77,7 +72,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from repro.attacks.base import Attack, AttackFailure, AttackResult
-from repro.nn.delta import DeltaScoreFn, delta_scoring_enabled
+from repro.nn.delta import DeltaScoreFn
 from repro.obs.registry import MetricsRegistry
 
 __all__ = [
@@ -88,12 +83,9 @@ __all__ = [
     "fork_available",
 ]
 
-#: env var overriding the worker count for every runner-wired entry point
-NUM_WORKERS_ENV = "REPRO_NUM_WORKERS"
-
 
 class WorkerCountError(ValueError):
-    """``REPRO_NUM_WORKERS`` or an explicit worker count is invalid."""
+    """A worker count (``REPRO_NUM_WORKERS`` or an explicit one) is invalid."""
 
 
 class WorkerCrashError(RuntimeError):
@@ -110,43 +102,14 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def resolve_num_workers(n_workers: int | None = None) -> int:
-    """Effective worker count: explicit arg > ``REPRO_NUM_WORKERS`` > CPUs.
+def resolve_num_workers(n_workers: int = 1) -> int:
+    """Effective worker count for an explicit request.
 
     Returns 1 (serial) whenever ``fork`` is unavailable, regardless of the
-    request — the runner never pickles models through ``spawn``.  Invalid
-    values — a non-integer env var, or any count below 1 — raise
-    :class:`WorkerCountError` with one consistent message.
+    request — the runner never pickles models through ``spawn``.  A count
+    below 1 raises :class:`WorkerCountError`.
     """
-    if n_workers is None:
-        env = os.environ.get(NUM_WORKERS_ENV, "").strip()
-        if env:
-            try:
-                n_workers = int(env)
-            except ValueError:
-                raise WorkerCountError(
-                    f"{NUM_WORKERS_ENV} must be a positive integer, got {env!r}"
-                ) from None
-            if n_workers < 1:
-                raise WorkerCountError(
-                    f"{NUM_WORKERS_ENV} must be a positive integer, got {env!r}"
-                )
-            cpus = os.cpu_count() or 1
-            if n_workers > cpus:
-                # an env-derived count beyond the machine would silently
-                # oversubscribe every runner-wired entry point; explicit
-                # n_workers arguments stay untouched (tests and callers may
-                # deliberately oversubscribe)
-                warnings.warn(
-                    f"{NUM_WORKERS_ENV}={n_workers} exceeds os.cpu_count()="
-                    f"{cpus}; clamping to {cpus} workers",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                n_workers = cpus
-        else:
-            n_workers = os.cpu_count() or 1
-    elif n_workers < 1:
+    if n_workers < 1:
         raise WorkerCountError(f"n_workers must be >= 1, got {n_workers}")
     if not fork_available():
         return 1
@@ -271,8 +234,7 @@ class ParallelAttackRunner:
         The attack to run; forked into each worker (weights shared
         copy-on-write, per-worker mutable state independent).
     n_workers:
-        Worker count; ``None`` resolves via :func:`resolve_num_workers`
-        (``REPRO_NUM_WORKERS`` override, then ``os.cpu_count()``).
+        Worker count (default 1, serial); see :func:`resolve_num_workers`.
     chunk_size:
         Documents per task.  ``None`` picks ``ceil(n_docs / (4 *
         n_workers))`` — small enough to balance uneven per-document attack
@@ -294,20 +256,19 @@ class ParallelAttackRunner:
         Scores single-edit candidates incrementally (:mod:`repro.nn.delta`)
         by installing a :class:`~repro.nn.delta.DeltaScoreFn` per worker;
         :mod:`repro.nn.delta` documents how its results relate to full
-        forwards.  The default of ``None`` defers to
-        ``REPRO_DELTA_SCORING``.
+        forwards.
     """
 
     def __init__(
         self,
         attack: Attack,
-        n_workers: int | None = None,
+        n_workers: int = 1,
         chunk_size: int | None = None,
         base_seed: int = 0,
         metrics: MetricsRegistry | None = None,
         fault_policy: RunnerFaultPolicy | None = None,
         on_result: Callable[[int, AttackResult | AttackFailure], None] | None = None,
-        delta_scoring: bool | None = None,
+        delta_scoring: bool = False,
     ) -> None:
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
@@ -319,11 +280,6 @@ class ParallelAttackRunner:
         self.fault_policy = fault_policy or RunnerFaultPolicy()
         self.on_result = on_result
         self.delta_scoring = delta_scoring
-
-    def _resolve_delta(self) -> bool:
-        if self.delta_scoring is None:
-            return delta_scoring_enabled()
-        return bool(self.delta_scoring)
 
     @classmethod
     def from_registry(
@@ -409,7 +365,7 @@ class ParallelAttackRunner:
         if outcomes is None:
             outcomes = {}
         attack = self.attack
-        if self._resolve_delta():
+        if self.delta_scoring:
             attack.set_score_fn(DeltaScoreFn.for_model(attack.model))
         try:
             for idx, doc, target in items:
@@ -489,7 +445,7 @@ class ParallelAttackRunner:
             max_workers=n_workers,
             mp_context=ctx,
             initializer=_init_worker,
-            initargs=(self.attack, self.base_seed, track_metrics, self._resolve_delta()),
+            initargs=(self.attack, self.base_seed, track_metrics, self.delta_scoring),
         )
         try:
             futures = {}

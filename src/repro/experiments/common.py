@@ -46,14 +46,13 @@ from repro.data import (
     spam_lexicon,
 )
 from repro.data.lexicon import DomainLexicon
-from repro.eval.parallel import ParallelAttackRunner
+from repro.eval.config import RunConfig
 from repro.eval.progress import ProgressPrinter
 from repro.models import GRUClassifier, LSTMClassifier, TextClassifier, TrainConfig, WCNN, fit
 from repro.nn.serialization import load, save
-from repro.obs.exporter import TelemetryServer, resolve_telemetry_port
+from repro.obs.exporter import TelemetryServer
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import PhaseProfiler
-from repro.obs.trace import TRACE_DIR_ENV
 from repro.text import (
     NGramLM,
     Vocabulary,
@@ -134,7 +133,14 @@ class ExperimentSettings:
 
 
 class ExperimentContext:
-    """Lazily builds and memoizes every experiment ingredient."""
+    """Lazily builds and memoizes every experiment ingredient.
+
+    One of the two entry points that read the environment
+    (:mod:`repro.eval.config`): a ``None`` ``cache_dir``, ``progress``,
+    ``journal_dir``, ``trace_dir`` or ``telemetry_port`` falls back to its
+    ``REPRO_*`` variable.  ``n_workers`` and ``delta_scoring`` go as given
+    to every ``evaluate_attack`` call, which resolves them.
+    """
 
     def __init__(
         self,
@@ -154,47 +160,39 @@ class ExperimentContext:
                 "the scoring service was removed; ExperimentContext accepts "
                 f"only scoring_service=None or False, got {scoring_service!r}"
             )
+        config = RunConfig.from_env(
+            cache_dir=cache_dir,
+            # a caller's callback wins over REPRO_PROGRESS
+            progress=True if progress is not None else None,
+            journal_dir=journal_dir,
+            trace_dir=trace_dir,
+            telemetry_port=telemetry_port,
+        )
         self.settings = settings or ExperimentSettings()
-        default_cache = Path(os.environ.get("REPRO_CACHE_DIR", Path.cwd() / ".cache"))
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else default_cache
-        #: worker count handed to evaluate_attack / ParallelAttackRunner by
-        #: the table drivers; None defers to REPRO_NUM_WORKERS (serial when
-        #: unset), so existing single-process workflows are unchanged
+        self.cache_dir = config.cache_dir
+        #: worker count and delta-scoring flag handed to every
+        #: evaluate_attack call by the drivers
         self.n_workers = n_workers
+        self.delta_scoring = delta_scoring
         #: heartbeat callback (e.g. repro.eval.progress.ProgressPrinter)
         #: handed to evaluate_attack by every table/figure driver; None
-        #: keeps runs silent.  REPRO_PROGRESS=1 turns on the default
-        #: stderr printer without code changes.
-        if progress is None and os.environ.get("REPRO_PROGRESS", "").strip():
+        #: keeps runs silent
+        if progress is None and config.progress:
             progress = ProgressPrinter()
         self.progress = progress
         #: directory for per-cell JSONL run journals; None disables
-        #: checkpointing.  REPRO_JOURNAL_DIR provides an env default so a
-        #: long driver run can be made resumable without code changes.
-        env_journal = os.environ.get("REPRO_JOURNAL_DIR", "").strip()
-        if journal_dir is None and env_journal:
-            journal_dir = env_journal
-        self.journal_dir = Path(journal_dir) if journal_dir is not None else None
+        #: checkpointing
+        self.journal_dir = config.journal_dir
         #: root directory for per-cell attack traces / metrics.json /
-        #: failures.jsonl; None disables tracing.  REPRO_TRACE_DIR provides
-        #: an env default, so any driver run can be traced without code
-        #: changes and rendered with `python -m repro.experiments report`.
-        env_trace = os.environ.get(TRACE_DIR_ENV, "").strip()
-        if trace_dir is None and env_trace:
-            trace_dir = env_trace
-        self.trace_dir = Path(trace_dir) if trace_dir is not None else None
-        #: score single-edit candidates incrementally (repro.nn.delta);
-        #: bitwise identical results.  None defers to REPRO_DELTA_SCORING
-        #: inside the runner, so the flag reaches every driver without
-        #: code changes.
-        self.delta_scoring = delta_scoring
-        #: live-telemetry HTTP exporter port (repro.obs.exporter); None
-        #: defers to REPRO_TELEMETRY_PORT (0 = ephemeral port).  The
-        #: context owns one TelemetryServer for its whole lifetime, so the
-        #: endpoints keep serving the last cell's frozen final state
-        #: between evaluate_attack calls — post-run scrapes match
-        #: metrics.json.
-        self.telemetry_port = resolve_telemetry_port(telemetry_port)
+        #: failures.jsonl; None disables tracing.  Render a traced run with
+        #: `python -m repro.experiments report`.
+        self.trace_dir = config.trace_dir
+        #: live-telemetry HTTP exporter port (repro.obs.exporter; 0 = an
+        #: ephemeral port); None disables it.  The context owns one
+        #: TelemetryServer for its whole lifetime, so the endpoints keep
+        #: serving the last cell's frozen final state between
+        #: evaluate_attack calls — post-run scrapes match metrics.json.
+        self.telemetry_port = config.telemetry_port
         self._telemetry: TelemetryServer | None = None
         self._datasets: dict[str, TextDataset] = {}
         self._lexicons: dict[str, DomainLexicon] = {}
@@ -433,8 +431,8 @@ class ExperimentContext:
     def telemetry(self) -> TelemetryServer | None:
         """The context-owned live HTTP exporter (started on first access).
 
-        ``None`` unless ``telemetry_port``/``REPRO_TELEMETRY_PORT`` is
-        set.  With an ephemeral port (0), read the bound one from
+        ``None`` unless the context has a ``telemetry_port``.  With an
+        ephemeral port (0), read the bound one from
         :attr:`TelemetryServer.port` / :attr:`TelemetryServer.url`.
         """
         if self.telemetry_port is None:
@@ -457,28 +455,3 @@ class ExperimentContext:
             "delta_scoring": self.delta_scoring,
             "telemetry": self.telemetry,
         }
-
-    def attack_runner(
-        self,
-        attack: Attack,
-        n_workers: int | None = None,
-        chunk_size: int | None = None,
-        delta_scoring=None,
-    ) -> ParallelAttackRunner:
-        """A corpus runner for ``attack`` wired to this context's registry.
-
-        Worker precedence: explicit arg, then the context's ``n_workers``,
-        then ``REPRO_NUM_WORKERS``/CPU count inside the runner; the same
-        explicit-arg-then-context precedence applies to ``delta_scoring``
-        (pass ``False`` to force full forwards for one run).
-        """
-        return ParallelAttackRunner(
-            attack,
-            n_workers=n_workers if n_workers is not None else self.n_workers,
-            chunk_size=chunk_size,
-            base_seed=self.settings.seed,
-            metrics=self.metrics,
-            delta_scoring=(
-                delta_scoring if delta_scoring is not None else self.delta_scoring
-            ),
-        )

@@ -69,7 +69,6 @@ access on the model.
 
 from __future__ import annotations
 
-import os
 import time
 from collections import OrderedDict
 from typing import Iterable, Sequence
@@ -87,8 +86,6 @@ from repro.nn.inference import (
 )
 
 __all__ = [
-    "DELTA_SCORING_ENV",
-    "delta_scoring_enabled",
     "register_delta_kernel",
     "delta_kernel_for",
     "diff_span",
@@ -97,17 +94,6 @@ __all__ = [
     "RecurrentDeltaKernel",
     "DeltaScoreFn",
 ]
-
-#: env flag turning delta scoring on for runner-managed attacks
-DELTA_SCORING_ENV = "REPRO_DELTA_SCORING"
-
-_TRUTHY = {"1", "true", "yes", "on"}
-
-
-def delta_scoring_enabled() -> bool:
-    """True when ``REPRO_DELTA_SCORING`` requests incremental scoring."""
-    return os.environ.get(DELTA_SCORING_ENV, "").strip().lower() in _TRUTHY
-
 
 _DELTA_REGISTRY: dict[type, "object"] = {}
 

@@ -17,7 +17,7 @@ Four pieces, designed to compose with the fork-based parallel runner:
   ``python -m repro.experiments watch``;
 - :mod:`repro.obs.exporter` — dependency-free HTTP ``TelemetryServer``
   (``/metrics`` Prometheus text, ``/metrics.json``, ``/healthz``,
-  ``/series.json``), enabled via ``REPRO_TELEMETRY_PORT``;
+  ``/series.json``);
 - :mod:`repro.obs.compare` — run-to-run regression comparison with
   relative-tolerance gates behind
   ``python -m repro.experiments compare <run_a> <run_b>``.
@@ -32,12 +32,7 @@ from repro.obs.compare import (
     render_compare_report,
     summarize_run_dir,
 )
-from repro.obs.exporter import (
-    TELEMETRY_PORT_ENV,
-    TelemetryServer,
-    render_prometheus,
-    resolve_telemetry_port,
-)
+from repro.obs.exporter import TelemetryServer, render_prometheus
 from repro.obs.registry import Histogram, MetricsRegistry, default_latency_bounds
 from repro.obs.report import (
     FAILURES_FILENAME,
@@ -52,7 +47,6 @@ from repro.obs.report import (
 from repro.obs.spans import PhaseProfiler
 from repro.obs.timeseries import (
     SERIES_FILENAME,
-    SERIES_INTERVAL_ENV,
     SERIES_SCHEMA_VERSION,
     TimeSeriesSampler,
     iter_series_files,
@@ -63,8 +57,6 @@ from repro.obs.timeseries import (
     validate_series_line,
 )
 from repro.obs.trace import (
-    TRACE_DIR_ENV,
-    TRACE_EVERY_N_ENV,
     TRACE_SCHEMA_VERSION,
     DocumentTrace,
     TraceRecorder,
@@ -77,8 +69,6 @@ from repro.obs.trace import (
 
 __all__ = [
     "TRACE_SCHEMA_VERSION",
-    "TRACE_DIR_ENV",
-    "TRACE_EVERY_N_ENV",
     "TraceRecorder",
     "DocumentTrace",
     "TraceSchemaError",
@@ -100,7 +90,6 @@ __all__ = [
     "render_phase_table",
     "SERIES_SCHEMA_VERSION",
     "SERIES_FILENAME",
-    "SERIES_INTERVAL_ENV",
     "TimeSeriesSampler",
     "read_series",
     "iter_series_files",
@@ -108,10 +97,8 @@ __all__ = [
     "validate_series_line",
     "sparkline",
     "render_dashboard",
-    "TELEMETRY_PORT_ENV",
     "TelemetryServer",
     "render_prometheus",
-    "resolve_telemetry_port",
     "DEFAULT_REL_TOL",
     "MetricDelta",
     "RunComparison",

@@ -24,10 +24,10 @@ outlives one ``evaluate_attack`` call (the
 driver run) keeps serving the last finished cell's final state between
 cells — final scraped counters therefore match ``metrics.json`` exactly.
 
-Enabled via ``ExperimentContext(telemetry_port=...)`` or
-``REPRO_TELEMETRY_PORT`` (port 0 binds an ephemeral port, reported by
-:attr:`TelemetryServer.port`).  Binds ``127.0.0.1`` by default — this is
-run introspection, not a public service.
+The context starts one when it has a ``telemetry_port`` (port 0 binds an
+ephemeral port, reported by :attr:`TelemetryServer.port`).  Binds
+``127.0.0.1`` by default — this is run introspection, not a public
+service.
 
 Like the rest of :mod:`repro.obs`, this module must not import the
 attack or eval layers.
@@ -36,46 +36,17 @@ attack or eval layers.
 from __future__ import annotations
 
 import json
-import os
 import re
 import threading
 from collections.abc import Callable
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 __all__ = [
-    "TELEMETRY_PORT_ENV",
     "TelemetryServer",
     "render_prometheus",
-    "resolve_telemetry_port",
 ]
 
-#: env var turning the exporter on for every runner-wired entry point
-TELEMETRY_PORT_ENV = "REPRO_TELEMETRY_PORT"
-
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
-
-
-def resolve_telemetry_port(port: int | None = None) -> int | None:
-    """Effective exporter port: explicit arg > ``REPRO_TELEMETRY_PORT`` > off.
-
-    Returns ``None`` when telemetry is off.  A non-integer or negative
-    env value raises ``ValueError`` naming the variable (0 is valid: an
-    ephemeral port).
-    """
-    if port is not None:
-        return int(port)
-    env = os.environ.get(TELEMETRY_PORT_ENV, "").strip()
-    if not env:
-        return None
-    try:
-        port = int(env)
-    except ValueError:
-        raise ValueError(
-            f"{TELEMETRY_PORT_ENV} must be an integer port, got {env!r}"
-        ) from None
-    if port < 0:
-        raise ValueError(f"{TELEMETRY_PORT_ENV} must be >= 0, got {port}")
-    return port
 
 
 def _metric_name(name: str) -> str:

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import threading
 import time
 from collections import deque
@@ -48,8 +47,6 @@ from repro.obs.trace import TraceSchemaError
 __all__ = [
     "SERIES_SCHEMA_VERSION",
     "SERIES_FILENAME",
-    "SERIES_INTERVAL_ENV",
-    "resolve_series_interval",
     "TimeSeriesSampler",
     "read_series",
     "iter_series_files",
@@ -63,20 +60,6 @@ SERIES_SCHEMA_VERSION = 1
 
 #: the run-level series file, written next to ``metrics.json``
 SERIES_FILENAME = "series.jsonl"
-#: env var overriding the sampling interval in seconds (default 1.0)
-SERIES_INTERVAL_ENV = "REPRO_SERIES_INTERVAL"
-
-_DEFAULT_INTERVAL = 1.0
-
-
-def resolve_series_interval(interval_seconds: float | None = None) -> float:
-    """Effective sampling interval: explicit arg > env > 1.0 s."""
-    if interval_seconds is None:
-        env = os.environ.get(SERIES_INTERVAL_ENV, "").strip()
-        interval_seconds = float(env) if env else _DEFAULT_INTERVAL
-    if interval_seconds <= 0:
-        raise ValueError(f"interval_seconds must be > 0, got {interval_seconds}")
-    return float(interval_seconds)
 
 
 class TimeSeriesSampler:
@@ -96,8 +79,7 @@ class TimeSeriesSampler:
         keeps the series in memory only.
     interval_seconds:
         Minimum seconds between points for :meth:`maybe_sample` and the
-        background thread; ``None`` reads ``REPRO_SERIES_INTERVAL``
-        (default 1.0).
+        background thread; finite and > 0.
     maxlen:
         Ring-buffer capacity (the file is never truncated).
     source:
@@ -109,13 +91,16 @@ class TimeSeriesSampler:
         self,
         snapshot_fn: Callable[[], dict],
         path: str | Path | None = None,
-        interval_seconds: float | None = None,
+        interval_seconds: float = 1.0,
         maxlen: int = 720,
         source: str = "run",
     ) -> None:
+        # nan would never wait and inf overflows the thread's wait timeout
+        if not (math.isfinite(interval_seconds) and interval_seconds > 0):
+            raise ValueError(f"interval_seconds must be finite and > 0, got {interval_seconds}")
         self.snapshot_fn = snapshot_fn
         self.path = Path(path) if path is not None else None
-        self.interval_seconds = resolve_series_interval(interval_seconds)
+        self.interval_seconds = float(interval_seconds)
         self.source = source
         self.n_errors = 0
         self._ring: deque[dict] = deque(maxlen=maxlen)

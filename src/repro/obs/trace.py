@@ -11,10 +11,9 @@ final verdict.  Traces are written one JSONL file per document
 file, and a crashed retry simply rewrites its document's file.
 
 Tracing is opt-in and sampled: :class:`TraceRecorder` only materializes
-a trace for every ``trace_every_n``-th document (``REPRO_TRACE_EVERY_N``,
-default 1 = every document), so full-corpus runs stay cheap.  With no
-recorder attached the per-event hook in ``Attack`` is a single ``None``
-check.
+a trace for every ``trace_every_n``-th document (default 1 = every
+document), so full-corpus runs stay cheap.  With no recorder attached
+the per-event hook in ``Attack`` is a single ``None`` check.
 
 Every line carries ``v`` (schema version), ``kind``, ``doc_index`` and
 ``t`` (seconds since the document's attack started).  Unknown extra
@@ -25,15 +24,12 @@ fields or wrong types are not.
 from __future__ import annotations
 
 import json
-import os
 import time
 from collections.abc import Iterator
 from pathlib import Path
 
 __all__ = [
     "TRACE_SCHEMA_VERSION",
-    "TRACE_DIR_ENV",
-    "TRACE_EVERY_N_ENV",
     "EVENT_FIELDS",
     "TraceSchemaError",
     "DocumentTrace",
@@ -45,11 +41,6 @@ __all__ = [
 ]
 
 TRACE_SCHEMA_VERSION = 1
-
-#: env var: directory that turns tracing on for the experiment drivers
-TRACE_DIR_ENV = "REPRO_TRACE_DIR"
-#: env var: sample rate — trace every n-th document (default 1)
-TRACE_EVERY_N_ENV = "REPRO_TRACE_EVERY_N"
 
 _INT = "int"
 _FLOAT = "float"
@@ -201,13 +192,10 @@ class TraceRecorder:
     pass ``trace_dir=`` to ``evaluate_attack``; the corpus runner opens a
     :class:`DocumentTrace` per attacked document.  ``trace_every_n``
     samples: only documents whose index is a multiple of ``n`` are
-    traced (``None`` reads ``REPRO_TRACE_EVERY_N``, defaulting to 1).
+    traced.
     """
 
-    def __init__(self, dir: str | Path, trace_every_n: int | None = None) -> None:
-        if trace_every_n is None:
-            env = os.environ.get(TRACE_EVERY_N_ENV, "").strip()
-            trace_every_n = int(env) if env else 1
+    def __init__(self, dir: str | Path, trace_every_n: int = 1) -> None:
         if trace_every_n < 1:
             raise ValueError(f"trace_every_n must be >= 1, got {trace_every_n}")
         self.dir = Path(dir)

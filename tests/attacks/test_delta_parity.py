@@ -4,8 +4,8 @@ The acceptance contract of the incremental delta-scoring layer: with
 ``delta_scoring`` on, every registry attack reproduces the frozen golden
 ``AttackResult``\\ s byte-for-byte — serially and under the 2-worker pool
 — while the per-candidate forwards are served by :mod:`repro.nn.delta`
-instead of full forwards.  Also covered here: the ``REPRO_DELTA_SCORING``
-env resolution, recurrent-model (LSTM/GRU) on/off equality, ScoreCache
+instead of full forwards.  Also covered here: ``REPRO_DELTA_SCORING``
+resolved by ``evaluate_attack``, recurrent-model (LSTM/GRU) on/off equality, ScoreCache
 key unification across the delta and full paths, and the trace/obs
 reconciliation with the new ``delta`` forward-event fields.
 """
@@ -18,10 +18,12 @@ import numpy as np
 import pytest
 
 from repro.attacks import ObjectiveGreedyWordAttack, ScoreCache, build_attack
+from repro.data.datasets import Example
+from repro.eval import metrics
 from repro.eval.metrics import evaluate_attack
 from repro.eval.parallel import ParallelAttackRunner, fork_available
 from repro.models import GRUClassifier, LSTMClassifier
-from repro.nn.delta import DELTA_SCORING_ENV, DeltaScoreFn
+from repro.nn.delta import DeltaScoreFn
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import iter_trace_files, read_trace, validate_run_dir
 from repro.text import Vocabulary
@@ -115,40 +117,62 @@ def test_delta_actually_engages_on_golden_run(
 
 
 # ---------------------------------------------------------------------------
-# env-flag resolution
+# env-flag resolution at the evaluate_attack entry point
 # ---------------------------------------------------------------------------
+
+DELTA_SCORING_ENV = "REPRO_DELTA_SCORING"
+
+
+def _evaluate_golden_docs(name, victim, word_paraphraser, attackable_docs, **kwargs):
+    """``evaluate_attack`` over the golden documents, seeded like ``_run_case``."""
+    attack = build_attack(name, victim, word_paraphraser=word_paraphraser, **GOLDEN_CASES[name])
+    docs, targets = golden_docs(attackable_docs)
+    # the golden documents are correctly classified, so every one is
+    # attacked, toward the flip of its label, at seed index = position
+    examples = [Example(tuple(doc), 1 - target) for doc, target in zip(docs, targets)]
+    evaluation = evaluate_attack(victim, attack, examples, seed=BASE_SEED, **kwargs)
+    assert evaluation.n_attacked == len(docs)
+    return [normalize(r.to_dict()) for r in evaluation.results]
 
 
 class TestEnvResolution:
-    def test_runner_resolves_delta_flag(self, victim, word_paraphraser, monkeypatch):
+    def test_runner_resolves_delta_flag(
+        self, victim, word_paraphraser, attackable_docs, monkeypatch
+    ):
+        """evaluate_attack hands the runner explicit flag > env > off."""
+        seen = []
+
+        class Recording(ParallelAttackRunner):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                seen.append(self.delta_scoring)
+
+        monkeypatch.setattr(metrics, "ParallelAttackRunner", Recording)
         attack = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2)
+        # correctly classified, so the runner is always built
+        examples = [Example(tuple(doc), 1 - target) for doc, target in attackable_docs[:1]]
+
+        def resolved(**kwargs):
+            evaluate_attack(victim, attack, examples, **kwargs)
+            return seen.pop()
+
         monkeypatch.delenv(DELTA_SCORING_ENV, raising=False)
-        assert not ParallelAttackRunner(attack, n_workers=1)._resolve_delta()
+        assert resolved() is False
+        assert resolved(delta_scoring=True) is True
         monkeypatch.setenv(DELTA_SCORING_ENV, "1")
-        assert ParallelAttackRunner(attack, n_workers=1)._resolve_delta()
-        # an explicit constructor flag always beats the environment
-        assert not ParallelAttackRunner(
-            attack, n_workers=1, delta_scoring=False
-        )._resolve_delta()
-        monkeypatch.delenv(DELTA_SCORING_ENV, raising=False)
-        assert ParallelAttackRunner(
-            attack, n_workers=1, delta_scoring=True
-        )._resolve_delta()
+        assert resolved() is True
+        # an explicit flag always beats the environment
+        assert resolved(delta_scoring=False) is False
 
     def test_env_flag_run_matches_golden(
-        self, victim, word_paraphraser, sentence_paraphraser, attackable_docs, monkeypatch
+        self, victim, word_paraphraser, attackable_docs, monkeypatch
     ):
-        monkeypatch.setenv(DELTA_SCORING_ENV, "1")
-        got = _run_case(
-            "greedy_word",
-            victim,
-            word_paraphraser,
-            sentence_paraphraser,
-            attackable_docs,
-            1,
-            delta_scoring=None,  # resolve from the environment
+        explicit = _evaluate_golden_docs(
+            "greedy_word", victim, word_paraphraser, attackable_docs, delta_scoring=True
         )
-        assert got == _load_golden("greedy_word")
+        monkeypatch.setenv(DELTA_SCORING_ENV, "1")
+        via_env = _evaluate_golden_docs("greedy_word", victim, word_paraphraser, attackable_docs)
+        assert via_env == explicit == _load_golden("greedy_word")
 
 
 # ---------------------------------------------------------------------------

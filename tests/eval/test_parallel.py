@@ -11,9 +11,9 @@ import os
 import pytest
 
 from repro.attacks import ObjectiveGreedyWordAttack, RandomWordAttack
+from repro.eval.config import RunConfig
 from repro.eval.metrics import evaluate_attack
 from repro.eval.parallel import (
-    NUM_WORKERS_ENV,
     ParallelAttackRunner,
     WorkerCountError,
     _WORKER,
@@ -46,42 +46,44 @@ def result_fingerprint(results):
     ]
 
 
+NUM_WORKERS_ENV = "REPRO_NUM_WORKERS"
+
+
+def env_workers(value: str) -> int:
+    """The worker count an entry point resolves from ``REPRO_NUM_WORKERS``."""
+    return RunConfig.from_env({NUM_WORKERS_ENV: value}, n_workers=None).n_workers
+
+
 class TestResolveNumWorkers:
-    def test_explicit_arg_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(NUM_WORKERS_ENV, "5")
+    def test_explicit_arg_wins_over_env(self):
+        assert RunConfig.from_env({NUM_WORKERS_ENV: "5"}, n_workers=2).n_workers == 2
         assert resolve_num_workers(2) == (2 if fork_available() else 1)
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(NUM_WORKERS_ENV, "3")
-        if not fork_available():
-            assert resolve_num_workers(None) == 1
-            return
+    def test_env_override(self):
         cpus = os.cpu_count() or 1
         if cpus >= 3:
-            assert resolve_num_workers(None) == 3
+            assert env_workers("3") == 3
         else:
             with pytest.warns(RuntimeWarning, match="exceeds os.cpu_count"):
-                assert resolve_num_workers(None) == cpus
+                assert env_workers("3") == cpus
 
-    def test_env_clamped_to_cpu_count_with_warning(self, monkeypatch):
-        if not fork_available():
-            pytest.skip("fork unavailable; env resolves to 1 regardless")
+    def test_env_clamped_to_cpu_count_with_warning(self):
         cpus = os.cpu_count() or 1
-        monkeypatch.setenv(NUM_WORKERS_ENV, str(cpus + 7))
         with pytest.warns(RuntimeWarning, match="exceeds os.cpu_count"):
-            assert resolve_num_workers(None) == cpus
+            assert env_workers(str(cpus + 7)) == cpus
 
-    def test_explicit_arg_is_never_clamped(self, monkeypatch):
+    def test_explicit_arg_is_never_clamped(self):
         # oversubscription on purpose stays allowed — only the env path,
         # which silently applies to every run, is clamped
-        monkeypatch.delenv(NUM_WORKERS_ENV, raising=False)
         cpus = os.cpu_count() or 1
+        config = RunConfig.from_env({NUM_WORKERS_ENV: "1"}, n_workers=cpus + 3)
+        assert config.n_workers == cpus + 3
         expected = cpus + 3 if fork_available() else 1
         assert resolve_num_workers(cpus + 3) == expected
 
-    def test_default_is_at_least_one(self, monkeypatch):
-        monkeypatch.delenv(NUM_WORKERS_ENV, raising=False)
-        assert resolve_num_workers(None) >= 1
+    def test_default_is_at_least_one(self):
+        assert resolve_num_workers() == 1
+        assert RunConfig.from_env({}, n_workers=None).n_workers == 1
 
     def test_invalid_count_raises(self):
         with pytest.raises(ValueError):
@@ -91,30 +93,31 @@ class TestResolveNumWorkers:
         with pytest.raises(WorkerCountError, match="n_workers must be >= 1"):
             resolve_num_workers(-3)
 
-    @pytest.mark.parametrize("value", ["four", "2.5", "", " x "])
-    def test_non_integer_env_rejected_with_clear_message(self, monkeypatch, value):
-        if not value.strip():
-            pytest.skip("blank env falls back to cpu count")
-        monkeypatch.setenv(NUM_WORKERS_ENV, value)
+    @pytest.mark.parametrize("value", ["four", "2.5", " x "])
+    def test_non_integer_env_rejected_with_clear_message(self, value):
         with pytest.raises(WorkerCountError) as excinfo:
-            resolve_num_workers(None)
+            env_workers(value)
         message = str(excinfo.value)
         assert NUM_WORKERS_ENV in message
         assert "positive integer" in message
 
     @pytest.mark.parametrize("value", ["0", "-2"])
-    def test_non_positive_env_gets_same_message_shape(self, monkeypatch, value):
+    def test_non_positive_env_gets_same_message_shape(self, value):
         # "0" used to produce a different message than "four"; both now
         # name the variable and the constraint consistently
-        monkeypatch.setenv(NUM_WORKERS_ENV, value)
         with pytest.raises(WorkerCountError) as excinfo:
-            resolve_num_workers(None)
+            env_workers(value)
         message = str(excinfo.value)
         assert NUM_WORKERS_ENV in message
         assert "positive integer" in message
 
     def test_worker_count_error_is_a_value_error(self):
         assert issubclass(WorkerCountError, ValueError)
+
+    def test_runner_never_reads_the_environment(self, victim, word_paraphraser, monkeypatch):
+        monkeypatch.setenv(NUM_WORKERS_ENV, "2")
+        attack = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2)
+        assert ParallelAttackRunner(attack).n_workers == 1
 
 
 class TestWorkerPerfAttachment:

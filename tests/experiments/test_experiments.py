@@ -1,8 +1,11 @@
 """Tests for the experiment drivers (small-scale smoke + schema checks)."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.eval.progress import ProgressPrinter
 from repro.experiments import DATASETS, ExperimentContext, ExperimentSettings
 from repro.experiments import (
     examples_gallery,
@@ -73,6 +76,44 @@ class TestContext:
     def test_scoring_service_on_names_the_removed_service(self, tmp_path, value):
         with pytest.raises(ValueError, match="scoring service was removed"):
             ExperimentContext(cache_dir=tmp_path, scoring_service=value)
+
+    @pytest.mark.parametrize("value,on", [("0", False), ("off", False), (" ", False), ("1", True)])
+    def test_progress_env(self, tmp_path, monkeypatch, value, on):
+        monkeypatch.setenv("REPRO_PROGRESS", value)
+        progress = ExperimentContext(cache_dir=tmp_path).progress
+        assert isinstance(progress, ProgressPrinter) if on else progress is None
+
+    def test_env_dirs_and_port(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", "  ")  # blank means unset
+        monkeypatch.setenv("REPRO_JOURNAL_DIR", "journals")
+        monkeypatch.setenv("REPRO_TRACE_DIR", "traces")
+        monkeypatch.setenv("REPRO_TELEMETRY_PORT", "0")
+        context = ExperimentContext()
+        assert context.cache_dir == Path(".cache")
+        assert (context.journal_dir, context.trace_dir) == (Path("journals"), Path("traces"))
+        assert context.telemetry_port == 0
+        explicit = ExperimentContext(
+            cache_dir=tmp_path, journal_dir="j", trace_dir="t", telemetry_port=8123
+        )
+        assert (explicit.cache_dir, explicit.journal_dir, explicit.trace_dir) == (
+            tmp_path,
+            Path("j"),
+            Path("t"),
+        )
+        assert explicit.telemetry_port == 8123
+
+    @pytest.mark.parametrize(
+        "var,raw", [("REPRO_TELEMETRY_PORT", "70000"), ("REPRO_PROGRESS", "maybe")]
+    )
+    def test_malformed_env_fails_at_construction(self, tmp_path, monkeypatch, var, raw):
+        monkeypatch.setenv(var, raw)
+        with pytest.raises(ValueError, match=var):
+            ExperimentContext(cache_dir=tmp_path)
+
+    def test_progress_callback_wins_over_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_PROGRESS", "maybe")
+        beats = []
+        assert ExperimentContext(cache_dir=tmp_path, progress=beats.append).progress == beats.append
 
     def test_settings_cache_key_stable(self):
         a = ExperimentSettings().cache_key()

@@ -26,11 +26,9 @@ import pytest
 
 from repro.models import GRUClassifier, LSTMClassifier, WCNN
 from repro.nn.delta import (
-    DELTA_SCORING_ENV,
     DeltaScoreFn,
     RecurrentDeltaKernel,
     delta_kernel_for,
-    delta_scoring_enabled,
     diff_span,
 )
 from repro.nn.inference import max_over_time_np, softmax_np, stable_kernel_for
@@ -403,16 +401,6 @@ class TestDeltaScoreFn:
         assert fn.pop_stats() is None
         fn([random_doc(rng, 5)])  # full-path call leaves no delta fields
         assert fn.pop_stats() is None
-
-    def test_env_toggle(self, monkeypatch):
-        monkeypatch.delenv(DELTA_SCORING_ENV, raising=False)
-        assert not delta_scoring_enabled()
-        for value in ("1", "true", "YES", "on"):
-            monkeypatch.setenv(DELTA_SCORING_ENV, value)
-            assert delta_scoring_enabled()
-        for value in ("0", "false", "", "off"):
-            monkeypatch.setenv(DELTA_SCORING_ENV, value)
-            assert not delta_scoring_enabled()
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,7 @@ import urllib.request
 
 import pytest
 
-from repro.obs.exporter import (
-    TELEMETRY_PORT_ENV,
-    TelemetryServer,
-    render_prometheus,
-    resolve_telemetry_port,
-)
+from repro.obs.exporter import TelemetryServer, render_prometheus
 from repro.obs.registry import MetricsRegistry
 
 
@@ -26,28 +21,6 @@ def server():
     srv.start()
     yield srv
     srv.stop()
-
-
-class TestResolvePort:
-    def test_off_by_default(self, monkeypatch):
-        monkeypatch.delenv(TELEMETRY_PORT_ENV, raising=False)
-        assert resolve_telemetry_port() is None
-
-    def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(TELEMETRY_PORT_ENV, "9999")
-        assert resolve_telemetry_port(8123) == 8123
-
-    def test_env_value(self, monkeypatch):
-        monkeypatch.setenv(TELEMETRY_PORT_ENV, "0")
-        assert resolve_telemetry_port() == 0
-
-    def test_bad_env_raises(self, monkeypatch):
-        monkeypatch.setenv(TELEMETRY_PORT_ENV, "not-a-port")
-        with pytest.raises(ValueError, match=TELEMETRY_PORT_ENV):
-            resolve_telemetry_port()
-        monkeypatch.setenv(TELEMETRY_PORT_ENV, "-1")
-        with pytest.raises(ValueError, match=">= 0"):
-            resolve_telemetry_port()
 
 
 class TestRenderPrometheus:

@@ -163,6 +163,20 @@ class TestTraceLifecycle:
         ]
         assert traced == expected
 
+    def test_trace_every_n_read_from_env(
+        self, victim, word_paraphraser, atk_corpus, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_TRACE_EVERY_N", "2")
+        _, evaluation = _traced_run(victim, word_paraphraser, atk_corpus, tmp_path / "env", 1)
+        # an explicit stride wins over the variable
+        _traced_run(
+            victim, word_paraphraser, atk_corpus, tmp_path / "explicit", 1, trace_every_n=1
+        )
+        assert [p.name for p in iter_trace_files(tmp_path / "env")] == [
+            f"trace-{j:06d}.jsonl" for j in range(evaluation.n_attacked) if j % 2 == 0
+        ]
+        assert len(list(iter_trace_files(tmp_path / "explicit"))) == evaluation.n_attacked
+
     def test_no_trace_dir_means_no_artifacts(
         self, victim, word_paraphraser, atk_corpus, tmp_path
     ):

@@ -87,6 +87,29 @@ class TestSeriesReconciliation:
         assert validate_run_dir(tmp_path) == n_trace_lines + n_series_points
 
 
+class TestSeriesInterval:
+    @pytest.mark.parametrize("interval", ["1e-9", "1000"])
+    def test_interval_read_from_env(
+        self, victim, word_paraphraser, atk_corpus, tmp_path, monkeypatch, interval
+    ):
+        # a serial run samples at most once per completed document, then
+        # forces one final point
+        monkeypatch.setenv("REPRO_SERIES_INTERVAL", interval)
+        evaluation = _run(victim, word_paraphraser, atk_corpus, tmp_path, 1)
+        points = read_series(tmp_path / SERIES_FILENAME)
+        expected = evaluation.n_attacked + 1 if interval == "1e-9" else 2
+        assert len(points) == expected
+
+    @pytest.mark.parametrize("interval", ["nan", "inf", "0"])
+    def test_unusable_interval_fails_before_the_run(
+        self, victim, word_paraphraser, atk_corpus, tmp_path, monkeypatch, interval
+    ):
+        monkeypatch.setenv("REPRO_SERIES_INTERVAL", interval)
+        with pytest.raises(ValueError, match="REPRO_SERIES_INTERVAL"):
+            _run(victim, word_paraphraser, atk_corpus, tmp_path, 1)
+        assert not any(tmp_path.iterdir())
+
+
 class TestTelemetryInvariance:
     def test_results_identical_with_exporter_on(
         self, victim, word_paraphraser, atk_corpus, tmp_path

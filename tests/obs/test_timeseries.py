@@ -8,14 +8,12 @@ import pytest
 from repro.obs.registry import MetricsRegistry
 from repro.obs.timeseries import (
     SERIES_FILENAME,
-    SERIES_INTERVAL_ENV,
     SERIES_SCHEMA_VERSION,
     TimeSeriesSampler,
     iter_series_files,
     load_run_series,
     read_series,
     render_dashboard,
-    resolve_series_interval,
     sparkline,
     validate_series_line,
 )
@@ -30,20 +28,24 @@ def _sampler(reg, tmp_path=None, **kwargs):
 
 class TestResolveInterval:
     def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(SERIES_INTERVAL_ENV, "9")
-        assert resolve_series_interval(0.25) == 0.25
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(SERIES_INTERVAL_ENV, "2.5")
-        assert resolve_series_interval() == 2.5
+        monkeypatch.setenv("REPRO_SERIES_INTERVAL", "9")
+        assert TimeSeriesSampler(dict, interval_seconds=0.25).interval_seconds == 0.25
 
     def test_default_is_one_second(self, monkeypatch):
-        monkeypatch.delenv(SERIES_INTERVAL_ENV, raising=False)
-        assert resolve_series_interval() == 1.0
+        # the sampler takes a plain value; evaluate_attack resolves the env
+        monkeypatch.setenv("REPRO_SERIES_INTERVAL", "2.5")
+        assert TimeSeriesSampler(dict).interval_seconds == 1.0
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_series_interval(0.0)
+        for interval in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                TimeSeriesSampler(dict, interval_seconds=interval)
+
+    @pytest.mark.parametrize("interval", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, interval):
+        # nan never waits between samples; inf kills the sampler thread
+        with pytest.raises(ValueError, match="finite"):
+            TimeSeriesSampler(dict, interval_seconds=interval)
 
 
 class TestSampler:

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.obs.trace import (
-    TRACE_EVERY_N_ENV,
     TRACE_SCHEMA_VERSION,
     DocumentTrace,
     TraceRecorder,
@@ -156,7 +155,8 @@ class TestValidation:
 
 class TestTraceRecorder:
     def test_every_document_traced_by_default(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(TRACE_EVERY_N_ENV, raising=False)
+        # the recorder takes a plain value; evaluate_attack resolves the env
+        monkeypatch.setenv("REPRO_TRACE_EVERY_N", "4")
         recorder = TraceRecorder(tmp_path)
         assert recorder.trace_every_n == 1
         trace = recorder.document(7, seed=7)
@@ -169,10 +169,6 @@ class TestTraceRecorder:
         recorder = TraceRecorder(tmp_path, trace_every_n=3)
         traced = [i for i in range(10) if recorder.document(i) is not None]
         assert traced == [0, 3, 6, 9]
-
-    def test_sampling_reads_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(TRACE_EVERY_N_ENV, "4")
-        assert TraceRecorder(tmp_path).trace_every_n == 4
 
     def test_invalid_stride_rejected(self, tmp_path):
         with pytest.raises(ValueError):

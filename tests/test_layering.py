@@ -10,7 +10,9 @@ packages (or its own).  Back-edges — like the pre-refactor
 ``data.urls`` / ``submodular.empirical`` imports of the transformation
 containers from the attacks layer — break the "one scoring choke point"
 story and make fork-pool pickling and incremental builds fragile, so this
-test fails the build on any new one.
+test fails the build on any new one.  The same AST walk keeps
+``os.environ`` reads in ``repro/eval/config.py``, the one reader of the
+``REPRO_*`` variables.
 """
 
 from __future__ import annotations
@@ -99,3 +101,37 @@ def test_known_former_back_edges_stay_fixed():
         imports = [m for m, _ in _imports_of(SRC / rel)]
         assert not any(m.startswith("repro.attacks") for m in imports), rel
         assert any(m == "repro.text.transformations" for m in imports), rel
+
+
+#: the one module allowed to read the process environment
+ENV_READER = "eval/config.py"
+
+
+def _environment_reads(path: Path) -> list[int]:
+    """Line numbers of ``os.environ`` / ``os.getenv`` uses, imported names included."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in ("environ", "getenv")
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+        ):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            if any(alias.name in ("environ", "getenv") for alias in node.names):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_the_run_config_reads_the_environment():
+    """``RunConfig.from_env`` is the one reader of the ``REPRO_*`` variables."""
+    readers = [
+        f"{path.relative_to(SRC)}:{lineno}"
+        for path in _source_modules()
+        if path.relative_to(SRC).as_posix() != ENV_READER
+        for lineno in _environment_reads(path)
+    ]
+    assert not readers, "environment read outside repro/eval/config.py:\n" + "\n".join(readers)
+    assert _environment_reads(SRC / ENV_READER), "the guard no longer sees the reader"
