@@ -153,7 +153,9 @@ def evaluate_attack(
     the traces (every n-th document).
 
     ``delta_scoring`` scores single-edit candidates incrementally
-    (:mod:`repro.nn.delta`; bitwise identical results).
+    (:mod:`repro.nn.delta`).  Its results are deterministic at any worker
+    count but not bitwise equal to full forwards: candidates whose scores
+    tie to within a few ULPs can resolve differently.
 
     ``telemetry`` attaches a caller-owned (typically
     :class:`~repro.experiments.common.ExperimentContext`-owned)

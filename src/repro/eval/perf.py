@@ -8,8 +8,8 @@ and per-padded-length counters come from
 :meth:`~repro.models.base.TextClassifier.record_forward`.
 
 ``write_bench_json`` serializes a metrics dict in the stable schema
-``{metric: {"value": ..., "unit": ...}}`` used by ``BENCH_inference.json``
-at the repo root, so successive PRs can diff perf trajectories.  Passing a
+``{metric: {"value": ..., "unit": ...}}`` used by ``BENCH_frontier.json``
+at the repo root, so successive runs can diff perf trajectories.  Passing a
 :class:`~repro.obs.registry.Histogram` instead of a scalar value writes a
 quantile entry (count / mean / p50-p99 / max) under the same metric name.
 """

@@ -38,12 +38,6 @@ class TextClassifier(Module):
     #: group documents whose (capped) lengths land in the same
     #: ``bucket_granularity``-wide band into one forward pass
     bucket_granularity: int = 8
-    #: length-bucketed inference default; ``predict_proba(bucketed=False)``
-    #: forces the legacy pad-to-``max_len`` path
-    bucketed_inference: bool = True
-    #: graph-free fused kernels (repro.nn.inference) for no-gradient scoring;
-    #: set False to force the autograd reference path everywhere
-    fused_inference: bool = True
 
     def __init__(self, vocab: Vocabulary, embedding: Embedding, max_len: int) -> None:
         super().__init__()
@@ -78,13 +72,12 @@ class TextClassifier(Module):
     def _fused_active(self) -> bool:
         """Whether the graph-free fast path may serve this model's scoring.
 
-        Three conditions: the class opted in (``fused_inference``), a kernel
-        is registered for the *exact* model type, and scoring is
-        deterministic — a model in training mode or with inference-time
-        (Bayesian) dropout draws from its own RNG stream inside the autograd
-        forward, which only the reference path reproduces.
+        Three conditions: the model is not training, has no inference-time
+        (Bayesian) dropout — either draws from the model's own RNG stream
+        inside the autograd forward, which only the reference path
+        reproduces — and a kernel is registered for its *exact* type.
         """
-        if not self.fused_inference or self.training:
+        if self.training:
             return False
         if getattr(self, "inference_dropout", 0.0):
             return False
@@ -125,30 +118,20 @@ class TextClassifier(Module):
             yield indices, self.padded_length(longest)
 
     def predict_proba(
-        self,
-        docs: Sequence[Sequence[str]],
-        batch_size: int = 128,
-        bucketed: bool | None = None,
+        self, docs: Sequence[Sequence[str]], batch_size: int = 128
     ) -> np.ndarray:
         """Class probabilities for tokenized documents, ``(B, C)``.
 
-        With ``bucketed`` (the default, see :attr:`bucketed_inference`),
-        documents are grouped by length band and each group is padded only
-        to its own :meth:`padded_length` instead of ``max_len`` — identical
+        Documents are grouped by length band and each group is padded only
+        to its own :meth:`padded_length` instead of ``max_len`` — the same
         probabilities, far fewer padding timesteps/windows.  Original order
-        is always restored.
+        is restored.
         """
-        if bucketed is None:
-            bucketed = self.bucketed_inference
         n = len(docs)
         if n == 0:
             return np.zeros((0, self.num_classes))
-        if bucketed:
-            buckets = self._length_buckets(docs)
-        else:
-            buckets = iter([(list(range(n)), self.max_len)])
         out = np.zeros((n, self.num_classes))
-        for indices, pad_len in buckets:
+        for indices, pad_len in self._length_buckets(docs):
             for start in range(0, len(indices), batch_size):
                 idx = indices[start : start + batch_size]
                 chunk = [docs[i] for i in idx]

@@ -72,7 +72,7 @@ class WCNN(TextClassifier):
         the last ones reaching into padding.  Padding buckets to
         ``longest + h − 1`` (capped at ``max_len``) reproduces exactly those
         windows — and their contents, since padding rows are identical —
-        keeping bucketed probabilities equal to the unbucketed path.
+        keeping bucketed probabilities equal to one ``max_len`` batch.
         """
         return min(self.max_len, max(1, longest) + self.conv.kernel_size - 1)
 

@@ -18,8 +18,8 @@ fused and reference probabilities agree exactly (the parity tests assert
 Model classes opt in through :func:`register_fused_kernel`; dispatch
 happens in :meth:`repro.models.base.TextClassifier.predict_proba` whenever
 no gradient is needed and scoring is deterministic.  The autograd forward
-is kept untouched as the reference implementation; ``fused_inference =
-False`` (or an unregistered model class) falls back to it.
+is kept untouched as the reference implementation, and serves training,
+inference-time dropout and unregistered model classes.
 
 Registered *gradient* kernels (:func:`register_gradient_kernel`) serve
 :meth:`repro.models.base.TextClassifier.embedding_gradient`, the embedding
@@ -66,7 +66,6 @@ __all__ = [
     "gru_cell_np",
     "lstm_forward_np",
     "gru_forward_np",
-    "rnn_forward_np",
 ]
 
 # kernel signature: (model, token_ids (B, T) int, mask (B, T) bool) -> logits (B, C)
@@ -348,13 +347,6 @@ def gru_forward_np(
     return h
 
 
-_RNN_ACTIVATIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "tanh": np.tanh,
-    "sigmoid": sigmoid_np,
-    "relu": lambda x: np.maximum(x, 0.0),
-}
-
-
 # ---------------------------------------------------------------------------
 # composition-stable primitives
 #
@@ -409,28 +401,3 @@ def stable_dense_np(
     if bias is not None:
         out = out + bias
     return out
-
-
-def rnn_forward_np(
-    emb: np.ndarray,
-    mask: np.ndarray | None,
-    w_x: np.ndarray,
-    w_h: np.ndarray,
-    bias: np.ndarray,
-    activation: str = "tanh",
-) -> np.ndarray:
-    """Fused Elman recurrence matching :meth:`repro.nn.rnn.SimpleRNN.forward`."""
-    phi = _RNN_ACTIVATIONS[activation]
-    batch, seq_len, _ = emb.shape
-    hid = w_h.shape[1]
-    h = np.zeros((batch, hid))
-    wx_t = w_x.T
-    wh_t = w_h.T
-    for t in range(seq_len):
-        h_new = phi(emb[:, t, :] @ wx_t + h @ wh_t + bias)
-        if mask is not None:
-            step = mask[:, t][:, None]
-            h = np.where(step, h_new, h)
-        else:
-            h = h_new
-    return h

@@ -176,6 +176,29 @@ class TestLazyStrategy:
         q_lazy = sum(lazy.attack(d, t).n_queries for d, t in attackable_docs[:6])
         assert q_lazy <= q_scan
 
+    def test_lazy_with_cache_halves_joint_greedy_forwards(
+        self, victim, word_paraphraser, sentence_paraphraser, attackable_docs
+    ):
+        def run(strategy, use_cache):
+            attack = JointParaphraseAttack(
+                victim,
+                word_paraphraser,
+                sentence_paraphraser,
+                word_attack="objective-greedy",
+                strategy=strategy,
+                use_cache=use_cache,
+            )
+            return [attack.attack(d, t) for d, t in attackable_docs[:6]]
+
+        naive = run("scan", use_cache=False)
+        fast = run("lazy", use_cache=True)
+        q_naive = sum(r.n_queries for r in naive)
+        q_fast = sum(r.n_queries for r in fast)
+        assert 2 * q_fast <= q_naive, (q_fast, q_naive)
+        assert sum(r.n_cache_hits for r in fast) > 0
+        # the fast path must not trade away attack success
+        assert sum(r.success for r in fast) >= sum(r.success for r in naive) - 1
+
     def test_lazy_matches_scan_quality(self, victim, word_paraphraser, attackable_docs):
         scan = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2, strategy="scan")
         lazy = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2, strategy="lazy")

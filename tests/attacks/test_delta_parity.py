@@ -22,6 +22,7 @@ from repro.data.datasets import Example
 from repro.eval import metrics
 from repro.eval.metrics import evaluate_attack
 from repro.eval.parallel import ParallelAttackRunner, fork_available
+from repro.experiments.common import ExperimentContext
 from repro.models import GRUClassifier, LSTMClassifier
 from repro.nn.delta import DeltaScoreFn
 from repro.obs.registry import MetricsRegistry
@@ -114,6 +115,7 @@ def test_delta_actually_engages_on_golden_run(
         attack.set_score_fn(None)
     assert fn.stats["delta_candidates"] > 0
     assert fn.stats["delta_units"] < fn.stats["delta_units_full"]
+    assert fn.forward_reduction() >= 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +139,7 @@ def _evaluate_golden_docs(name, victim, word_paraphraser, attackable_docs, **kwa
 
 class TestEnvResolution:
     def test_runner_resolves_delta_flag(
-        self, victim, word_paraphraser, attackable_docs, monkeypatch
+        self, victim, word_paraphraser, attackable_docs, monkeypatch, tmp_path
     ):
         """evaluate_attack hands the runner explicit flag > env > off."""
         seen = []
@@ -161,6 +163,11 @@ class TestEnvResolution:
         assert resolved(delta_scoring=True) is True
         monkeypatch.setenv(DELTA_SCORING_ENV, "1")
         assert resolved() is True
+        # the table drivers' path: ExperimentContext hands on None, and
+        # evaluate_attack resolves the environment
+        kwargs = ExperimentContext(cache_dir=tmp_path).eval_kwargs("tag")
+        assert kwargs["delta_scoring"] is None
+        assert resolved(**kwargs) is True
         # an explicit flag always beats the environment
         assert resolved(delta_scoring=False) is False
 

@@ -192,8 +192,9 @@ class TestShardInvariance:
         docs, targets = corpus_slice
         attack = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2)
         serial = ParallelAttackRunner(attack, n_workers=1).run(docs, targets)
-        pooled = ParallelAttackRunner(attack, n_workers=2).run(docs, targets)
-        assert result_fingerprint(serial) == result_fingerprint(pooled)
+        for workers in (2, 4):
+            pooled = ParallelAttackRunner(attack, n_workers=workers).run(docs, targets)
+            assert result_fingerprint(serial) == result_fingerprint(pooled), workers
 
     @needs_fork
     def test_stochastic_attack_shard_invariance(

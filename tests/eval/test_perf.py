@@ -75,7 +75,7 @@ class TestModelIntegration:
         assert sum(b["docs"] for b in buckets.values()) == len(docs)
         assert sum(b["batches"] for b in buckets.values()) == counters["forward/batches"]
         # bucketed inference pads below max_len on these short docs
-        assert max(buckets) <= recording.max_len
+        assert max(buckets) < recording.max_len
 
     def test_no_recorder_is_the_default(self, victim):
         assert victim.metrics is None or isinstance(victim.metrics, MetricsRegistry)

@@ -67,6 +67,11 @@ class TestPredictAPI:
         assert probs.shape == (1, 2)
 
 
+def max_len_batch(model, docs):
+    """Reference probabilities: every document padded to ``max_len``, one batch."""
+    return model._probs_batch(*model.encode(docs))
+
+
 class TestBucketedInference:
     """Length-bucketed batching must be a pure perf change: same probabilities."""
 
@@ -74,46 +79,36 @@ class TestBucketedInference:
     def test_bucketed_matches_unbucketed(self, model_fixture, tiny_corpus, request):
         model = request.getfixturevalue(model_fixture)
         docs = tiny_corpus.documents("test")
-        dense = model.predict_proba(docs, bucketed=False)
-        bucketed = model.predict_proba(docs, bucketed=True)
-        np.testing.assert_allclose(bucketed, dense, atol=1e-10)
+        np.testing.assert_allclose(
+            model.predict_proba(docs), max_len_batch(model, docs), atol=1e-10
+        )
 
     def test_bucketed_handles_extreme_lengths(self, trained_lstm):
         docs = [["good"], ["bad", "bad"], ["the"] * (MAX_LEN * 2), ["fine"] * 7]
-        dense = trained_lstm.predict_proba(docs, bucketed=False)
-        bucketed = trained_lstm.predict_proba(docs, bucketed=True)
-        np.testing.assert_allclose(bucketed, dense, atol=1e-10)
+        np.testing.assert_allclose(
+            trained_lstm.predict_proba(docs), max_len_batch(trained_lstm, docs), atol=1e-10
+        )
 
     def test_order_restored_across_buckets(self, trained_lstm, tiny_corpus):
         # sort by length so buckets are filled out-of-order wrt the input
         docs = sorted(tiny_corpus.documents("test")[:12], key=len, reverse=True)
         one_by_one = np.vstack([trained_lstm.predict_proba([d]) for d in docs])
-        bucketed = trained_lstm.predict_proba(docs, bucketed=True)
+        bucketed = trained_lstm.predict_proba(docs)
         np.testing.assert_allclose(bucketed, one_by_one, atol=1e-10)
 
     def test_bucketed_respects_batch_size(self, trained_lstm, tiny_corpus):
         docs = tiny_corpus.documents("test")[:10]
-        a = trained_lstm.predict_proba(docs, batch_size=3, bucketed=True)
-        b = trained_lstm.predict_proba(docs, batch_size=100, bucketed=True)
+        a = trained_lstm.predict_proba(docs, batch_size=3)
+        b = trained_lstm.predict_proba(docs, batch_size=100)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_wcnn_pad_covers_kernel(self, trained_wcnn):
         # a doc shorter than the kernel must still produce one conv window
-        probs = trained_wcnn.predict_proba([["good"]], bucketed=True)
+        probs = trained_wcnn.predict_proba([["good"]])
         assert probs.shape == (1, 2)
         np.testing.assert_allclose(
-            probs, trained_wcnn.predict_proba([["good"]], bucketed=False), atol=1e-10
+            probs, max_len_batch(trained_wcnn, [["good"]]), atol=1e-10
         )
-
-    def test_default_uses_class_flag(self, trained_lstm, tiny_corpus):
-        docs = tiny_corpus.documents("test")[:6]
-        default = trained_lstm.predict_proba(docs)
-        try:
-            trained_lstm.bucketed_inference = False
-            dense = trained_lstm.predict_proba(docs)
-        finally:
-            trained_lstm.bucketed_inference = True
-        np.testing.assert_allclose(default, dense, atol=1e-10)
 
     def test_padded_length_capped_at_max_len(self, trained_wcnn, trained_lstm):
         assert trained_lstm.padded_length(MAX_LEN * 3) == MAX_LEN
@@ -166,7 +161,11 @@ class TestEmbeddingGradient:
         base = model.embedding.weight.data[ids]
         base = base + np.random.default_rng(0).normal(scale=1e-3, size=base.shape)
 
-        def f(emb_vals):
+        def f(real_rows):
+            # only the real rows are compared, so only they are perturbed;
+            # the padding rows stay at ``base``
+            emb_vals = base.copy()
+            emb_vals[0, : len(doc)] = real_rows
             logits = model.forward_from_embeddings(Tensor(emb_vals), mask)
             return float(softmax(logits, axis=-1).data[0, target])
 
@@ -175,7 +174,7 @@ class TestEmbeddingGradient:
         softmax(logits, axis=-1)[0, target].backward()
         analytic = emb.grad[0, : len(doc)]
 
-        num = numerical_grad(f, base.copy(), eps=1e-6)[0, : len(doc)]
+        num = numerical_grad(f, base[0, : len(doc)].copy(), eps=1e-6)
         np.testing.assert_allclose(analytic, num, atol=1e-6)
         # the graph-free kernel that serves embedding_gradient, same point
         kernel = gradient_kernel_for(model)(model, base[0], mask[0], target)

@@ -11,6 +11,8 @@ import pytest
 
 from repro.models import GRUClassifier, LSTMClassifier, TrainConfig, fit
 from repro.models.wcnn import WCNN
+from repro.nn import inference
+from repro.nn.functional import softmax
 from repro.nn.inference import (
     fused_kernel_for,
     gradient_kernel_for,
@@ -22,6 +24,7 @@ from repro.nn.inference import (
 from repro.nn.losses import softmax_cross_entropy
 from repro.nn.optim import Adam
 from repro.nn.serialization import load_state_dict, state_dict
+from repro.nn.tensor import Tensor, no_grad
 
 TOL = 1e-12
 
@@ -35,16 +38,19 @@ def trained_gru(tiny_corpus, tiny_vocab, tiny_embeddings):
     return model
 
 
-def both_paths(model, docs, **kwargs):
-    """(fused, reference) probabilities, restoring the model's flag."""
-    prev = model.fused_inference
-    try:
-        model.fused_inference = True
-        fused = model.predict_proba(docs, **kwargs)
-        model.fused_inference = False
-        ref = model.predict_proba(docs, **kwargs)
-    finally:
-        model.fused_inference = prev
+def autograd_probs(model, ids, mask):
+    """The reference: the autograd forward, then softmax."""
+    with no_grad():
+        return softmax(model.forward(ids, mask), axis=-1).data
+
+
+def both_paths(model, docs):
+    """(fused, reference) probabilities over ``predict_proba``'s own buckets."""
+    fused = model.predict_proba(docs)
+    ref = np.zeros_like(fused)
+    for indices, pad_len in model._length_buckets(docs):
+        ids, mask = model.vocab.encode_batch([docs[i] for i in indices], pad_len)
+        ref[indices] = autograd_probs(model, ids, mask)
     return fused, ref
 
 
@@ -68,17 +74,18 @@ class TestKernelParity:
         assert np.abs(fused - ref).max() <= TOL
 
     def test_unbucketed_path_parity(self, trained_wcnn, tiny_corpus):
-        # pad-to-max_len also dispatches to the kernel; parity must hold there
-        docs = tiny_corpus.documents("test")[:16]
-        fused, ref = both_paths(trained_wcnn, docs, bucketed=False)
+        # parity must hold on a batch padded to max_len, too
+        ids, mask = trained_wcnn.encode(tiny_corpus.documents("test")[:16])
+        fused = softmax_np(fused_kernel_for(trained_wcnn)(trained_wcnn, ids, mask))
+        ref = autograd_probs(trained_wcnn, ids, mask)
         assert np.abs(fused - ref).max() <= TOL
 
     def test_masked_padding_is_inert(self, trained_lstm, tiny_corpus):
-        # a document scored alone vs padded inside a max_len batch must agree:
-        # the kernels carry state through padding timesteps via the mask
+        # a document scored alone vs padded to max_len must agree: the
+        # kernels carry state through padding timesteps via the mask
         doc = min(tiny_corpus.documents("test"), key=len)
         alone = trained_lstm.predict_proba([doc])
-        padded = trained_lstm.predict_proba([doc], bucketed=False)
+        padded = trained_lstm._probs_batch(*trained_lstm.encode([doc]))
         np.testing.assert_allclose(alone, padded, atol=TOL, rtol=0.0)
 
     def test_empty_batch(self, trained_wcnn):
@@ -130,12 +137,23 @@ class TestDispatchRules:
             trained_wcnn.inference_dropout = 0.0
         assert trained_wcnn._fused_active()
 
-    def test_flag_off_falls_back(self, trained_wcnn):
-        trained_wcnn.fused_inference = False
-        try:
-            assert not trained_wcnn._fused_active()
-        finally:
-            trained_wcnn.fused_inference = True
+    def test_predict_proba_runs_the_kernel(
+        self, trained_wcnn, trained_lstm, tiny_corpus, monkeypatch
+    ):
+        # kernel and autograd agree bit for bit, so only a spy on the
+        # registry shows that scoring took the kernel
+        docs = tiny_corpus.documents("test")
+        for model in (trained_wcnn, trained_lstm):
+            kernel = fused_kernel_for(model)
+            rows = []
+
+            def spy(m, ids, mask, kernel=kernel, rows=rows):
+                rows.append(len(ids))
+                return kernel(m, ids, mask)
+
+            monkeypatch.setitem(inference._REGISTRY, type(model), spy)
+            model.predict_proba(docs)
+            assert sum(rows) == len(docs), type(model).__name__
 
     def test_subclass_does_not_inherit_kernel(self, tiny_vocab, tiny_embeddings):
         # registry lookup is by exact type: a subclass that might override
@@ -202,9 +220,6 @@ class TestStableKernelAfterTraining:
 
 
 def test_softmax_np_matches_functional():
-    from repro.nn.functional import softmax
-    from repro.nn.tensor import Tensor
-
     rng = np.random.default_rng(0)
     logits = rng.normal(scale=4.0, size=(7, 3))
     expected = softmax(Tensor(logits), axis=-1).data
