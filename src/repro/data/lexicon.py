@@ -68,6 +68,7 @@ class DomainLexicon:
     clusters: list[SynonymCluster]
     function_words: tuple[str, ...] = ()
     _by_word: dict[str, SynonymCluster] = field(default_factory=dict, repr=False)
+    _synonyms: dict[str, tuple[str, ...]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         for cluster in self.clusters:
@@ -75,15 +76,19 @@ class DomainLexicon:
                 if w in self._by_word:
                     raise ValueError(f"word {w!r} appears in multiple clusters of {self.name!r}")
                 self._by_word[w] = cluster
+                self._synonyms[w] = cluster.alternatives(w)
 
     def cluster_of(self, word: str) -> SynonymCluster | None:
         """The cluster containing ``word``, or None."""
         return self._by_word.get(word)
 
     def synonyms(self, word: str) -> tuple[str, ...]:
-        """Paraphrase candidates for ``word`` (empty if unclustered)."""
-        cluster = self._by_word.get(word)
-        return cluster.alternatives(word) if cluster else ()
+        """Paraphrase candidates for ``word`` (empty if unclustered).
+
+        A lookup in a table built once: the smoothing defense and the word
+        paraphraser ask for every word of every document they see.
+        """
+        return self._synonyms.get(word, ())
 
     def clusters_by_polarity(self, polarity: str) -> list[SynonymCluster]:
         return [c for c in self.clusters if c.polarity == polarity]

@@ -83,13 +83,27 @@ class SmoothedClassifier:
         )
 
     # -- smoothing ---------------------------------------------------------
-    def _randomize(self, doc: list[str], rng: np.random.Generator) -> list[str]:
-        out = list(doc)
-        for i, word in enumerate(out):
-            syns = self.lexicon.synonyms(word)
-            if syns and rng.random() < self.substitution_prob:
-                out[i] = str(syns[rng.integers(len(syns))])
-        return out
+    def _ensemble(self, doc: list[str], rng: np.random.Generator) -> list[list[str]]:
+        """``doc`` plus ``n_samples - 1`` randomized copies drawn from ``rng``.
+
+        Each copy visits the clustered positions in order: one
+        ``rng.random()`` each, then ``rng.integers(len(syns))`` for a
+        substituted one.  That per-document call order is part of every
+        result digest, so the slots are found once per document and every
+        other word costs nothing.
+        """
+        synonyms = self.lexicon.synonyms
+        slots = [(i, syns) for i, word in enumerate(doc) if (syns := synonyms(word))]
+        prob = self.substitution_prob
+        draw, pick = rng.random, rng.integers
+        ensemble = [doc]  # always include the original
+        for _ in range(self.n_samples - 1):
+            copy = list(doc)
+            for i, syns in slots:
+                if draw() < prob:
+                    copy[i] = syns[pick(len(syns))]
+            ensemble.append(copy)
+        return ensemble
 
     def _doc_rng(self, doc: Sequence[str]) -> np.random.Generator:
         # deterministic per document so repeated queries agree (otherwise
@@ -104,9 +118,7 @@ class SmoothedClassifier:
         ensemble: list[list[str]] = []
         for doc in docs:
             doc = list(doc)
-            rng = self._doc_rng(doc)
-            ensemble.append(doc)  # always include the original
-            ensemble.extend(self._randomize(doc, rng) for _ in range(self.n_samples - 1))
+            ensemble.extend(self._ensemble(doc, self._doc_rng(doc)))
         probs = self.model.predict_proba(ensemble, batch_size=batch_size)
         return probs.reshape(len(docs), self.n_samples, -1).mean(axis=1)
 

@@ -125,8 +125,10 @@ class TextClassifier(Module):
         Documents are grouped by length band and each group is padded only
         to its own :meth:`padded_length` instead of ``max_len`` — the same
         probabilities, far fewer padding timesteps/windows.  Original order
-        is restored.
+        is restored.  ``batch_size`` (at least 1) caps the rows per forward.
         """
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size!r}")
         n = len(docs)
         if n == 0:
             return np.zeros((0, self.num_classes))

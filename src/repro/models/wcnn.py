@@ -98,17 +98,13 @@ class WCNN(TextClassifier):
 
 def _wcnn_fused_logits(model: WCNN, token_ids: np.ndarray, mask: np.ndarray) -> np.ndarray:
     emb = model.embedding.weight.data[token_ids]
-    feats = np.maximum(
-        conv1d_np(
-            emb,
-            model.conv.weight.data,
-            model.conv.bias.data,
-            model.conv.kernel_size,
-            model.conv.stride,
-        ),
-        0.0,
-    )
-    pooled = max_over_time_np(feats, model._window_mask(mask), MaxOverTime.NEG)
+    conv = model.conv
+    feats = conv1d_np(emb, conv.weight.data, conv.bias.data, conv.kernel_size, conv.stride)
+    # feats is this kernel's own array: ReLU and window penalty in place,
+    # the same ops as np.maximum and max_over_time_np without two temporaries
+    np.maximum(feats, 0.0, out=feats)
+    feats += np.where(model._window_mask(mask), 0.0, MaxOverTime.NEG)[:, :, None]
+    pooled = feats.max(axis=1)
     head = model.head
     return dense_np(pooled, head.weight.data, head.bias.data if head.bias is not None else None)
 

@@ -200,24 +200,44 @@ def conv1d_np(
 ) -> np.ndarray:
     """Conv-as-matmul over ``(B, T, D)``: im2col + one 2-D GEMM.
 
-    Gathers the same ``(B, n_win, h*D)`` windows as
+    Builds the same ``(B, n_win, h*D)`` windows as
     :meth:`repro.nn.layers.Conv1d.forward` but collapses the batch and
     window axes into a single 2-D GEMM (a 3-D ``matmul`` degrades to ``B``
     small per-document GEMMs).  The per-output-element dot products run
-    over the identical ``h*D`` contraction in the same order, so the
-    result stays bitwise equal to the autograd path.
+    over the identical ``h*D`` contraction, so the result equals the
+    autograd path to rounding: BLAS may round a row of the one tall GEMM
+    differently from the same row of a per-document GEMM (on the trained
+    models of the parity tests they agree bit for bit).
+
+    In a C-contiguous ``(B, T, D)`` block a window's ``h*D`` values are
+    contiguous, so the windows are a strided view of ``emb`` (its rows
+    overlap); one copy turns that view into the contiguous GEMM operand,
+    the same matrix the advanced-index gather built.  The bias is added in
+    place to the freshly allocated output; ``emb`` is only read.
     """
+    emb = np.ascontiguousarray(emb)
     batch, seq_len, dim = emb.shape
     n_filt = weight.shape[0]
-    starts = np.arange(0, seq_len - kernel_size + 1, stride)
-    n_win = len(starts)
-    win_idx = starts[:, None] + np.arange(kernel_size)[None, :]
-    flat = emb[:, win_idx, :].reshape(batch * n_win, kernel_size * dim)
-    return (flat @ weight.T).reshape(batch, n_win, n_filt) + bias
+    n_win = max(0, (seq_len - kernel_size) // stride + 1)
+    item = emb.itemsize  # strides from the shape: length-1 axes may report any stride
+    windows = np.lib.stride_tricks.as_strided(
+        emb,
+        shape=(batch, n_win, kernel_size * dim),
+        strides=(seq_len * dim * item, stride * dim * item, item),
+        writeable=False,
+    )
+    flat = np.ascontiguousarray(windows).reshape(batch * n_win, kernel_size * dim)
+    out = flat @ weight.T
+    out += bias
+    return out.reshape(batch, n_win, n_filt)
 
 
 def max_over_time_np(feats: np.ndarray, window_mask: np.ndarray, neg: float = -1e30) -> np.ndarray:
-    """Masked max-over-time pooling, matching :class:`repro.nn.layers.MaxOverTime`."""
+    """Masked max-over-time pooling, matching :class:`repro.nn.layers.MaxOverTime`.
+
+    ``feats`` is only read.  A kernel that owns its feature map can add the
+    same penalty in place and take the max itself (see the WCNN kernel).
+    """
     penalty = np.where(np.asarray(window_mask, dtype=bool), 0.0, neg)[:, :, None]
     return (feats + penalty).max(axis=1)
 

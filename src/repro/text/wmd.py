@@ -22,7 +22,6 @@ from collections import Counter
 from collections.abc import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 __all__ = [
     "word_distance",
@@ -97,6 +96,10 @@ def wmd(tokens_a: Sequence[str], tokens_b: Sequence[str], vectors: Vectors) -> f
     # Drop one redundant constraint (total mass equality) for conditioning.
     a_eq = np.vstack([a_eq_rows, a_eq_cols[:-1]])
     b_eq = np.concatenate([wa, wb[:-1]])
+    # imported here: scipy.optimize is most of the package's import time,
+    # and only this exact solver needs it
+    from scipy.optimize import linprog
+
     result = linprog(cost.reshape(-1), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if not result.success:  # pragma: no cover - solver failure is exceptional
         raise RuntimeError(f"WMD transport LP failed: {result.message}")

@@ -50,6 +50,15 @@ class TestPredictAPI:
         b = trained_wcnn.predict_proba(docs, batch_size=100)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    @pytest.mark.parametrize("n_docs", [3, 0])
+    def test_batch_size_below_one_raises(self, trained_wcnn, tiny_corpus, batch_size, n_docs):
+        # a negative size ran no chunk and returned all-zero rows; 0 failed
+        # inside range() without naming the argument
+        docs = tiny_corpus.documents("test")[:n_docs]
+        with pytest.raises(ValueError, match=f"batch_size must be >= 1, got {batch_size}"):
+            trained_wcnn.predict_proba(docs, batch_size=batch_size)
+
     def test_accuracy_empty_raises(self, trained_wcnn):
         with pytest.raises(ValueError):
             trained_wcnn.accuracy([], np.array([]))

@@ -14,13 +14,17 @@ from repro.models.wcnn import WCNN
 from repro.nn import inference
 from repro.nn.functional import softmax
 from repro.nn.inference import (
+    conv1d_np,
     fused_kernel_for,
     gradient_kernel_for,
+    lstm_forward_np,
+    max_over_time_np,
     register_fused_kernel,
     sigmoid_np,
     softmax_np,
     stable_kernel_for,
 )
+from repro.nn.layers import Conv1d
 from repro.nn.losses import softmax_cross_entropy
 from repro.nn.optim import Adam
 from repro.nn.serialization import load_state_dict, state_dict
@@ -111,6 +115,98 @@ class TestKernelParity:
     def test_out_of_vocabulary_tokens(self, trained_wcnn):
         fused, ref = both_paths(trained_wcnn, [["zzz-not-a-word", "also-unknown"]])
         assert np.abs(fused - ref).max() <= TOL
+
+    @pytest.mark.parametrize("batch", [1, 16, 74])
+    def test_wcnn_logits_bitwise_at_tournament_shapes(self, trained_wcnn, tiny_corpus, batch):
+        # 74 rows is tournament-pooled's mean forward; 16 sits between; one
+        # row is where the im2col windows are a view BLAS would not take
+        docs = tiny_corpus.documents("test")
+        ids, mask = trained_wcnn.encode([docs[i % len(docs)] for i in range(batch)])
+        assert not mask.all()  # every row carries padding
+        inputs = ids.copy(), mask.copy()
+        fused = fused_kernel_for(trained_wcnn)(trained_wcnn, ids, mask)
+        with no_grad():
+            ref = trained_wcnn.forward(ids, mask).data
+        assert fused.shape == ref.shape and fused.dtype == ref.dtype
+        assert fused.tobytes() == ref.tobytes()
+        assert np.array_equal(ids, inputs[0]) and np.array_equal(mask, inputs[1])
+
+
+def advanced_index_conv(emb, weight, bias, kernel_size, stride):
+    """The advanced-index im2col ``conv1d_np`` used to gather, kept as its oracle."""
+    batch, seq_len, dim = emb.shape
+    starts = np.arange(0, seq_len - kernel_size + 1, stride)
+    win_idx = starts[:, None] + np.arange(kernel_size)[None, :]
+    flat = emb[:, win_idx, :].reshape(batch * len(starts), kernel_size * dim)
+    return (flat @ weight.T).reshape(batch, len(starts), -1) + bias
+
+
+class TestPrimitivesAtKernelShapes:
+    """The shared primitives: bitwise their reference, and inputs only read.
+
+    The fused, stable, delta and gradient kernels all pass arrays they do
+    not own into these, so none may write into its arguments.
+    """
+
+    @pytest.mark.parametrize("batch", [1, 2, 16, 74])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv1d_np_bitwise_equals_advanced_index_im2col(self, batch, stride):
+        rng = np.random.default_rng(10 * batch + stride)
+        emb = rng.normal(size=(batch, 23, 16))
+        weight, bias = rng.normal(size=(24, 3 * 16)), rng.normal(size=24)
+        kept = emb.copy()
+        got = conv1d_np(emb, weight, bias, 3, stride)
+        want = advanced_index_conv(emb, weight, bias, 3, stride)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert emb.tobytes() == kept.tobytes()
+
+    def test_conv1d_np_stride_2_matches_conv_layer(self):
+        # the layer's 3-D matmul may round a unit-normal input differently
+        # from the one 2-D GEMM, so the layer is matched to TOL
+        layer = Conv1d(16, 24, 3, stride=2, rng=np.random.default_rng(0))
+        layer.bias.data[:] = np.random.default_rng(1).normal(size=24)
+        emb = np.random.default_rng(2).normal(size=(5, 24, 16))
+        with no_grad():
+            ref = layer(Tensor(emb)).data
+        got = conv1d_np(emb, layer.weight.data, layer.bias.data, 3, 2)
+        assert got.shape == ref.shape == (5, 11, 24)
+        assert np.abs(got - ref).max() <= TOL
+
+    def test_conv1d_np_single_document_from_a_strided_slice(self):
+        # the gradient kernel passes ``emb[None]`` of one (T, D) document;
+        # here that document is itself a non-contiguous view
+        rng = np.random.default_rng(3)
+        doc = rng.normal(size=(40, 16))[::2]
+        weight, bias = rng.normal(size=(24, 3 * 16)), rng.normal(size=24)
+        got = conv1d_np(doc[None], weight, bias, 3)
+        want = advanced_index_conv(np.ascontiguousarray(doc)[None], weight, bias, 3, 1)
+        assert got.tobytes() == want.tobytes()
+
+    def test_max_over_time_np_leaves_features_alone(self):
+        rng = np.random.default_rng(4)
+        feats = np.maximum(rng.normal(size=(3, 7, 5)), 0.0)
+        window_mask = np.arange(7)[None, :] < np.array([[7], [4], [1]])
+        kept = feats.copy()
+        pooled = max_over_time_np(feats, window_mask, -1e30)
+        assert feats.tobytes() == kept.tobytes()
+        assert np.array_equal(pooled[2], feats[2, 0])
+
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_lstm_forward_np_leaves_initial_state_alone(self, masked):
+        rng = np.random.default_rng(5)
+        batch, seq_len, dim, hid = 3, 6, 4, 5
+        emb = rng.normal(size=(batch, seq_len, dim))
+        mask = np.arange(seq_len)[None, :] < np.array([[6], [3], [1]]) if masked else None
+        w_x, w_h = rng.normal(size=(4 * hid, dim)), rng.normal(size=(4 * hid, hid))
+        bias = rng.normal(size=4 * hid)
+        h0, c0 = rng.normal(size=(batch, hid)), rng.normal(size=(batch, hid))
+        kept = h0.copy(), c0.copy()
+        seqs = np.empty((batch, seq_len + 1, hid)), np.empty((batch, seq_len + 1, hid))
+        h, c = lstm_forward_np(emb, mask, w_x, w_h, bias, h0, c0, state_seq=seqs)
+        assert h0.tobytes() == kept[0].tobytes() and c0.tobytes() == kept[1].tobytes()
+        assert seqs[0][:, 0].tobytes() == kept[0].tobytes()
+        assert h.tobytes() == seqs[0][:, -1].tobytes() and c.tobytes() == seqs[1][:, -1].tobytes()
 
 
 class TestDispatchRules:

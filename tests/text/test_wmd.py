@@ -1,9 +1,15 @@
 """Tests for Word Mover's Distance."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.text.wmd import relaxed_wmd, wmd, wmd_similarity, word_distance, word_similarity
 
 VECS = {
@@ -137,3 +143,17 @@ def test_property_wmd_nonneg_symmetric(a, b):
 )
 def test_property_rwmd_lower_bounds_wmd(a, b):
     assert relaxed_wmd(a, b, VECS) <= wmd(a, b, VECS) + 1e-8
+
+
+def test_package_import_leaves_scipy_optimize_unloaded():
+    # only the exact solver needs linprog and imports it itself: loading
+    # scipy.optimize with the module was most of the attack stack's import time
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, repro.attacks, repro.experiments; print('scipy.optimize' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.strip() == "False"
