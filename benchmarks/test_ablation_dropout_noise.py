@@ -13,7 +13,7 @@ greedy degrades much more than the multi-word gradient-guided method.
 import numpy as np
 
 from benchmarks.conftest import run_once
-from repro.attacks import GradientGuidedGreedyAttack, ObjectiveGreedyWordAttack
+from repro.attacks import build_attack
 from repro.eval.metrics import evaluate_attack
 
 
@@ -27,10 +27,11 @@ def test_dropout_noise_mechanism(ctx, benchmark):
             for noise in (0.0, 0.02):
                 model.inference_dropout = noise
                 try:
-                    for name, attack in (
-                        ("objective-greedy", ObjectiveGreedyWordAttack(model, wp, 0.2)),
-                        ("gradient-guided", GradientGuidedGreedyAttack(model, wp, 0.2)),
+                    for name, registry_name in (
+                        ("objective-greedy", "greedy_word"),
+                        ("gradient-guided", "gradient_guided"),
                     ):
+                        attack = build_attack(registry_name, model, word_paraphraser=wp)
                         ev = evaluate_attack(model, attack, test, max_examples=30)
                         rows.append((dataset, noise, name, ev.success_rate))
                 finally:

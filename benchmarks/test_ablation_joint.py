@@ -10,7 +10,7 @@ greedy) without losing success rate.
 import numpy as np
 
 from benchmarks.conftest import run_once
-from repro.attacks import GradientGuidedGreedyAttack
+from repro.attacks import build_attack
 from repro.eval.metrics import evaluate_attack
 
 
@@ -22,8 +22,12 @@ def test_words_per_iteration_ablation(ctx, benchmark):
             test = ctx.dataset(dataset).test
             wp = ctx.word_paraphraser(dataset)
             for n in (1, 3, 5):
-                attack = GradientGuidedGreedyAttack(
-                    model, wp, word_budget_ratio=0.2, words_per_iteration=n
+                attack = build_attack(
+                    "gradient_guided",
+                    model,
+                    word_paraphraser=wp,
+                    word_budget_ratio=0.2,
+                    words_per_iteration=n,
                 )
                 ev = evaluate_attack(model, attack, test, max_examples=30)
                 rows.append((dataset, n, ev.success_rate, ev.mean_queries))

@@ -12,7 +12,7 @@ Two levels:
 import numpy as np
 
 from benchmarks.conftest import run_once
-from repro.attacks import ObjectiveGreedyWordAttack
+from repro.attacks import build_attack
 from repro.models.theory_models import SimplifiedWCNN
 from repro.submodular import (
     greedy_maximize,
@@ -52,8 +52,11 @@ def test_lazy_strategy_on_word_attack(benchmark, ctx):
         targets = [1 - int(label) for label in model.predict(docs)]
         rows = []
         for strategy in ("scan", "lazy"):
-            attack = ObjectiveGreedyWordAttack(
-                model, ctx.word_paraphraser("news"), 0.2, strategy=strategy
+            attack = build_attack(
+                "greedy_word",
+                model,
+                word_paraphraser=ctx.word_paraphraser("news"),
+                strategy=strategy,
             )
             results = [attack.attack(d, t) for d, t in zip(docs, targets)]
             rows.append(

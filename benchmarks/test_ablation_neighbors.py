@@ -9,7 +9,7 @@ included (our clusters hold ≤ 6 synonyms, so k beyond that is free).
 import numpy as np
 
 from benchmarks.conftest import run_once
-from repro.attacks import ObjectiveGreedyWordAttack, ParaphraseConfig, WordParaphraser
+from repro.attacks import ParaphraseConfig, WordParaphraser, build_attack
 from repro.eval.metrics import evaluate_attack
 
 
@@ -34,7 +34,9 @@ def test_neighbor_set_size_ablation(ctx, benchmark):
                     lm=ctx.language_model(dataset),
                     config=cfg,
                 )
-                attack = ObjectiveGreedyWordAttack(model, wp, 0.2, tau=ctx.settings.tau)
+                attack = build_attack(
+                    "greedy_word", model, word_paraphraser=wp, tau=ctx.settings.tau
+                )
                 ev = evaluate_attack(model, attack, test, max_examples=25)
                 rows.append((dataset, k, ev.success_rate, ev.mean_queries))
         return rows

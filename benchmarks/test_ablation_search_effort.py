@@ -9,13 +9,7 @@ Quantifies how much attack success each extra rung of search effort buys
 
 
 from benchmarks.conftest import run_once
-from repro.attacks import (
-    BeamSearchWordAttack,
-    GradientGuidedGreedyAttack,
-    GradientWordAttack,
-    ObjectiveGreedyWordAttack,
-    RandomWordAttack,
-)
+from repro.attacks import build_attack
 from repro.eval.metrics import evaluate_attack
 
 _LADDER = ("random", "gradient", "gradient-guided", "objective-greedy", "beam-3")
@@ -29,11 +23,11 @@ def test_search_effort_ladder(ctx, benchmark):
         wp = ctx.word_paraphraser(dataset)
         tau = ctx.settings.tau
         attacks = {
-            "random": RandomWordAttack(model, wp, 0.2),
-            "gradient": GradientWordAttack(model, wp, 0.2),
-            "gradient-guided": GradientGuidedGreedyAttack(model, wp, 0.2, tau=tau),
-            "objective-greedy": ObjectiveGreedyWordAttack(model, wp, 0.2, tau=tau),
-            "beam-3": BeamSearchWordAttack(model, wp, 0.2, tau=tau, beam_width=3),
+            "random": build_attack("random_word", model, word_paraphraser=wp),
+            "gradient": build_attack("gradient_word", model, word_paraphraser=wp),
+            "gradient-guided": build_attack("gradient_guided", model, word_paraphraser=wp, tau=tau),
+            "objective-greedy": build_attack("greedy_word", model, word_paraphraser=wp, tau=tau),
+            "beam-3": build_attack("beam_word", model, word_paraphraser=wp, tau=tau, beam_width=3),
         }
         rows = []
         for name in _LADDER:

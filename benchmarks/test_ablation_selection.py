@@ -12,7 +12,7 @@ at least as good as the raw norm.
 import numpy as np
 
 from benchmarks.conftest import run_once
-from repro.attacks import GradientGuidedGreedyAttack
+from repro.attacks import build_attack
 from repro.eval.metrics import evaluate_attack
 
 
@@ -24,8 +24,12 @@ def test_selection_rule_ablation(ctx, benchmark):
             test = ctx.dataset(dataset).test
             wp = ctx.word_paraphraser(dataset)
             for selection in ("modular", "gs_norm", "random"):
-                attack = GradientGuidedGreedyAttack(
-                    model, wp, word_budget_ratio=0.2, selection=selection
+                attack = build_attack(
+                    "gradient_guided",
+                    model,
+                    word_paraphraser=wp,
+                    word_budget_ratio=0.2,
+                    selection=selection,
                 )
                 ev = evaluate_attack(model, attack, test, max_examples=30)
                 rows.append((dataset, selection, ev.success_rate, ev.mean_queries))

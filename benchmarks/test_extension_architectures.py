@@ -10,7 +10,7 @@ inductive bias is most robust to paraphrase attacks.
 import numpy as np
 
 from benchmarks.conftest import run_once
-from repro.attacks import GradientGuidedGreedyAttack
+from repro.attacks import build_attack
 from repro.eval.metrics import evaluate_attack
 from repro.models import AttentionClassifier, GRUClassifier, fit
 from repro.text import embedding_matrix_for_vocab
@@ -39,8 +39,13 @@ def test_architecture_robustness(ctx, benchmark):
 
         rows = []
         for name, model in victims.items():
-            attack = GradientGuidedGreedyAttack(model, wp, word_budget_ratio=0.2,
-                                                tau=ctx.settings.tau)
+            attack = build_attack(
+                "gradient_guided",
+                model,
+                word_paraphraser=wp,
+                word_budget_ratio=0.2,
+                tau=ctx.settings.tau,
+            )
             ev = evaluate_attack(model, attack, ds.test, max_examples=30)
             rows.append((name, ev.clean_accuracy, ev.success_rate, ev.mean_word_changes))
         return rows

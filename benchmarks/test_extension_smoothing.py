@@ -6,7 +6,7 @@ smoothing blocks gradients): clean accuracy cost vs robustness gain.
 """
 
 from benchmarks.conftest import run_once
-from repro.attacks import ObjectiveGreedyWordAttack
+from repro.attacks import build_attack
 from repro.defense import SmoothedClassifier
 from repro.eval.metrics import evaluate_attack
 
@@ -21,7 +21,9 @@ def test_smoothing_defense(ctx, benchmark):
             test = ctx.dataset(dataset).test
             smoothed = SmoothedClassifier(model, lexicon, n_samples=9, substitution_prob=0.3)
             for name, victim in (("undefended", model), ("smoothed", smoothed)):
-                attack = ObjectiveGreedyWordAttack(victim, wp, 0.2, tau=ctx.settings.tau)
+                attack = build_attack(
+                    "greedy_word", victim, word_paraphraser=wp, tau=ctx.settings.tau
+                )
                 ev = evaluate_attack(victim, attack, test, max_examples=25)
                 rows.append((dataset, name, ev.clean_accuracy, ev.success_rate))
         return rows

@@ -7,7 +7,7 @@ discrete-attack formulation is not text-specific.
 """
 
 from benchmarks.conftest import run_once
-from repro.attacks import ObjectiveGreedyWordAttack
+from repro.attacks import build_attack
 from repro.data.urls import UrlCharCandidates, UrlCorpusConfig, make_url_corpus
 from repro.eval.metrics import evaluate_attack
 from repro.models import WCNN, TrainConfig, fit
@@ -20,8 +20,12 @@ def test_url_domain_end_to_end(benchmark):
         vocab = Vocabulary.build(dataset.documents("train"))
         model = WCNN(vocab, max_len=48, embedding_dim=12, num_filters=32, seed=0)
         fit(model, dataset.train, TrainConfig(epochs=8, seed=0))
-        attack = ObjectiveGreedyWordAttack(
-            model, UrlCharCandidates(), word_budget_ratio=0.3, tau=0.7
+        attack = build_attack(
+            "greedy_word",
+            model,
+            word_paraphraser=UrlCharCandidates(),
+            word_budget_ratio=0.3,
+            tau=0.7,
         )
         malicious = [ex for ex in dataset.test if ex.label == 1]
         ev = evaluate_attack(model, attack, malicious, max_examples=30)

@@ -9,7 +9,7 @@ Usage::
     python examples/defense_comparison.py
 """
 
-from repro.attacks import ObjectiveGreedyWordAttack
+from repro.attacks import build_attack
 from repro.defense import SmoothedClassifier, adversarial_training
 from repro.eval import evaluate_attack, format_percent, format_table
 from repro.experiments import ExperimentContext
@@ -22,7 +22,7 @@ def main() -> None:
     wp = ctx.word_paraphraser(dataset)
 
     def score(victim) -> tuple[float, float]:
-        attack = ObjectiveGreedyWordAttack(victim, wp, 0.2, tau=ctx.settings.tau)
+        attack = build_attack("greedy_word", victim, word_paraphraser=wp, tau=ctx.settings.tau)
         ev = evaluate_attack(victim, attack, ds.test, max_examples=30)
         return ev.clean_accuracy, ev.success_rate
 
@@ -33,7 +33,9 @@ def main() -> None:
     # 2. adversarial training (paper, Table 5)
     at = adversarial_training(
         model_factory=lambda: ctx.build_model(dataset, "wcnn"),
-        attack_factory=lambda m: ObjectiveGreedyWordAttack(m, wp, 0.2, tau=ctx.settings.tau),
+        attack_factory=lambda m: build_attack(
+            "greedy_word", m, word_paraphraser=wp, tau=ctx.settings.tau
+        ),
         dataset=ds,
         train_config=ctx.train_config(),
         augment_fraction=0.2,

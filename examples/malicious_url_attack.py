@@ -11,7 +11,7 @@ Usage::
     python examples/malicious_url_attack.py
 """
 
-from repro.attacks import ObjectiveGreedyWordAttack
+from repro.attacks import build_attack
 from repro.data.urls import UrlCharCandidates, UrlCorpusConfig, make_url_corpus, tokens_to_url
 from repro.models import WCNN, TrainConfig, evaluate, fit
 from repro.text import Vocabulary
@@ -24,8 +24,8 @@ def main() -> None:
     fit(model, dataset.train, TrainConfig(epochs=8, seed=0))
     print(f"phishing detector accuracy: {evaluate(model, dataset.test):.1%}\n")
 
-    attack = ObjectiveGreedyWordAttack(
-        model, UrlCharCandidates(), word_budget_ratio=0.2, tau=0.7
+    attack = build_attack(
+        "greedy_word", model, word_paraphraser=UrlCharCandidates(), word_budget_ratio=0.2, tau=0.7
     )
     docs = dataset.documents("test")
     labels = dataset.labels("test")

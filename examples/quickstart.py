@@ -9,12 +9,7 @@ Usage::
     python examples/quickstart.py
 """
 
-from repro.attacks import (
-    JointParaphraseAttack,
-    ParaphraseConfig,
-    SentenceParaphraser,
-    WordParaphraser,
-)
+from repro.attacks import ParaphraseConfig, SentenceParaphraser, WordParaphraser, build_attack
 from repro.data import CorpusConfig, make_sentiment_corpus, sentiment_lexicon
 from repro.models import WCNN, TrainConfig, evaluate, fit
 from repro.text import (
@@ -52,9 +47,14 @@ def main() -> None:
     sentence_paraphraser = SentenceParaphraser(lexicon, vectors, config=config)
 
     # 5. The joint attack (Algorithm 1): sentence stage then word stage.
-    attack = JointParaphraseAttack(
-        model, word_paraphraser, sentence_paraphraser,
-        word_budget_ratio=0.2, sentence_budget_ratio=0.2, tau=0.7,
+    attack = build_attack(
+        "joint",
+        model,
+        word_paraphraser=word_paraphraser,
+        sentence_paraphraser=sentence_paraphraser,
+        word_budget_ratio=0.2,
+        sentence_budget_ratio=0.2,
+        tau=0.7,
     )
 
     # 6. Attack the first correctly-classified review.

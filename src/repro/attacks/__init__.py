@@ -3,23 +3,25 @@
 Every attack is one point in the compositional space of Problem 1 —
 a :class:`CandidateSource` (what can change) × a :class:`SearchStrategy`
 (how to search) — run by one :class:`AttackEngine` that owns scoring,
-caching, query accounting and observability.  The named combinations:
+caching, query accounting and observability.  The named combinations
+live in :data:`~repro.attacks.registry.ATTACKS`, and
+:func:`~repro.attacks.registry.build_attack` is their one constructor:
 
-=====================================  ==========================================
-Class / registry name                  Paper reference
-=====================================  ==========================================
-:class:`JointParaphraseAttack`         Algorithm 1 (headline attack, "ours")
-:class:`GreedySentenceAttack`          Algorithm 2
-:class:`GradientGuidedGreedyAttack`    Algorithm 3
-:class:`ObjectiveGreedyWordAttack`     objective-guided greedy, Kuleshov [19]
-:class:`GradientWordAttack`            gradient method, Gong [18]
-:class:`RandomWordAttack`              random baseline
-:class:`BeamSearchWordAttack`          beam-search upper reference
-=====================================  ==========================================
+=========================  =============================================
+Registry name              Paper reference
+=========================  =============================================
+``joint``                  Algorithm 1 (headline attack, "ours")
+``greedy_sentence``        Algorithm 2
+``gradient_guided``        Algorithm 3
+``greedy_word``            objective-guided greedy, Kuleshov [19]
+``gradient_word``          gradient method, Gong [18]
+``random_word``            random baseline
+``beam_word``              beam-search upper reference
+=========================  =============================================
 
-See :data:`~repro.attacks.registry.ATTACKS` for the full name → spec
-table (including char-flip and CELF lazy variants) and
-:func:`~repro.attacks.registry.build_attack` to resolve one by name.
+The table also holds char-flip, CELF lazy and frontier variants
+(``python -m repro.experiments list-attacks`` prints it).  Any other pair
+is ``AttackEngine(model, source, search)``.
 """
 
 from repro.attacks.base import (
@@ -29,14 +31,9 @@ from repro.attacks.base import (
     count_word_changes,
     reseed_object,
 )
-from repro.attacks.beam import BeamSearchWordAttack
 from repro.attacks.cache import ScoreCache, score_key
 from repro.attacks.charflip import HOMOGLYPHS, CharFlipCandidates
 from repro.attacks.engine import AttackEngine
-from repro.attacks.gradient_guided import GradientGuidedGreedyAttack
-from repro.attacks.gradient_word import GradientWordAttack
-from repro.attacks.greedy_word import ObjectiveGreedyWordAttack
-from repro.attacks.joint import JointParaphraseAttack
 from repro.attacks.paraphrase import ParaphraseConfig, SentenceParaphraser, WordParaphraser
 from repro.attacks.proposals import (
     CandidateSource,
@@ -50,7 +47,6 @@ from repro.attacks.proposals import (
     WordParaphraseSource,
     WordProposal,
 )
-from repro.attacks.random_attack import RandomWordAttack
 from repro.attacks.registry import ATTACKS, AttackSpec, build_attack
 from repro.attacks.search import (
     BeamSearch,
@@ -64,7 +60,6 @@ from repro.attacks.search import (
     SearchStrategy,
     StagedSearch,
 )
-from repro.attacks.sentence import GreedySentenceAttack
 from repro.text.transformations import (
     SentenceNeighborSets,
     WordNeighborSets,
@@ -115,12 +110,4 @@ __all__ = [
     "ATTACKS",
     "AttackSpec",
     "build_attack",
-    # named attacks
-    "JointParaphraseAttack",
-    "GreedySentenceAttack",
-    "GradientGuidedGreedyAttack",
-    "ObjectiveGreedyWordAttack",
-    "GradientWordAttack",
-    "RandomWordAttack",
-    "BeamSearchWordAttack",
 ]

@@ -35,8 +35,8 @@ def reseed_object(obj, seed: int) -> None:
     ``default_rng((seed, offset))`` (``offset`` = the attribute's index in
     the sorted attribute list, so distinct streams on one object stay
     distinct), plain integer ``seed`` attributes are rewritten, and the
-    walk recurses into sub-:class:`Attack`\\ s and into any collaborator
-    marked ``_reseed_recurse`` (candidate sources and search strategies).
+    walk recurses into any collaborator marked ``_reseed_recurse``
+    (candidate sources and search strategies).
     """
     for offset, name in enumerate(sorted(vars(obj))):
         value = getattr(obj, name)
@@ -44,8 +44,6 @@ def reseed_object(obj, seed: int) -> None:
             setattr(obj, name, np.random.default_rng((seed, offset)))
         elif name == "seed" and isinstance(value, int):
             setattr(obj, name, seed)
-        elif isinstance(value, Attack) and value is not obj:
-            value.reseed(seed)
         elif getattr(value, "_reseed_recurse", False):
             value.reseed(seed)
 
@@ -228,30 +226,20 @@ class Attack:
         no matter how documents are sharded across workers (1 worker and N
         workers must agree).  Streams are discovered by introspection —
         ``np.random.Generator`` attributes are replaced, plain ``seed``
-        integer attributes are rewritten, and sub-attacks (the joint
-        attack's stages) are reseeded recursively — so new attacks get
-        deterministic sharding for free.
+        integer attributes are rewritten, and collaborators marked
+        ``_reseed_recurse`` (an engine's source and strategy) are reseeded
+        recursively — so new attacks get deterministic sharding for free.
         """
         reseed_object(self, seed)
 
     # -- observability hooks ------------------------------------------------
     def set_profiler(self, profiler) -> None:
-        """Attach a phase profiler to this attack and its sub-attacks."""
+        """Attach (or with ``None`` detach) a phase profiler."""
         self.profiler = profiler
-        for value in vars(self).values():
-            if isinstance(value, Attack) and value is not self:
-                value.set_profiler(profiler)
 
     def set_score_fn(self, score_fn) -> None:
-        """Attach (or with ``None`` detach) a scoring-forward override.
-
-        Recurses into sub-attacks (the joint attack's stages) so every
-        ``_score_batch`` in the composition routes the same way.
-        """
+        """Attach (or with ``None`` detach) a scoring-forward override."""
         self.score_fn = score_fn
-        for value in vars(self).values():
-            if isinstance(value, Attack) and value is not self:
-                value.set_score_fn(score_fn)
 
     def _span(self, name: str):
         """Profiler span context, or a no-op when no profiler is attached."""

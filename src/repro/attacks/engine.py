@@ -10,15 +10,15 @@ per-call :class:`~repro.attacks.cache.ScoreCache`), the query budget, the
 PhaseProfiler instrumentation (the victim itself counts its forwards into
 its ``metrics`` registry).  Strategies and sources
 never touch the victim directly; they call the helpers below, so every
-combination — including ones no attack class predefines, like
+combination — including ones the registry does not name, like
 char-flip × beam — gets caching, tracing and reconciliation
 (``sum(forward.n_forwards) == attack_end.n_queries == AttackResult.n_queries``)
 for free.
 
-The public attack classes (:class:`~repro.attacks.greedy_word.ObjectiveGreedyWordAttack`
-and friends) are thin subclasses that pick a source and a strategy in
-``__init__``; the declarative table in :mod:`repro.attacks.registry` maps
-names to those combinations for the CLI and experiment drivers.
+Every named attack is an ``AttackEngine`` composed by
+:func:`~repro.attacks.registry.build_attack`, which maps the names in
+:data:`~repro.attacks.registry.ATTACKS` to a source, a strategy and the
+engine ``name`` that results, traces and journals record.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 Problem 1 is a two-axis space — what can change × how to search — and
 every attack in the repo is one point in it.  This table makes that
 explicit: :data:`ATTACKS` maps stable names to :class:`AttackSpec`\\ s, and
-:func:`build_attack` instantiates one against a victim model.  The
+:func:`build_attack` — the one constructor of a named attack — composes
+its :class:`~repro.attacks.engine.AttackEngine` against a victim model.  The
 experiment drivers (:mod:`repro.experiments.common`), the parallel corpus
 runner and the ``list-attacks`` CLI verb all resolve attacks by these
 names, and novel combinations (char-flip × beam, sentence × lazy, ...)
@@ -19,18 +20,26 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from repro.attacks.base import Attack
-from repro.attacks.beam import BeamSearchWordAttack
-from repro.attacks.charflip import CharFlipCandidates
 from repro.attacks.engine import AttackEngine
-from repro.attacks.gradient_guided import GradientGuidedGreedyAttack
-from repro.attacks.gradient_word import GradientWordAttack
-from repro.attacks.greedy_word import ObjectiveGreedyWordAttack
-from repro.attacks.joint import JointParaphraseAttack
-from repro.attacks.proposals import GumbelSource, WordParaphraseSource
-from repro.attacks.random_attack import RandomWordAttack
-from repro.attacks.search import GreedySearch, HeuristicRankSearch, ParticleSwarmSearch
-from repro.attacks.sentence import GreedySentenceAttack
+from repro.attacks.proposals import (
+    CharFlipSource,
+    GradientRankedSource,
+    GumbelSource,
+    SentenceParaphraseSource,
+    WordParaphraseSource,
+)
+from repro.attacks.search import (
+    BeamSearch,
+    FirstOrderSearch,
+    GaussSouthwellSearch,
+    GreedySearch,
+    HeuristicRankSearch,
+    LazyGreedySearch,
+    ParticleSwarmSearch,
+    RandomSearch,
+    SearchStrategy,
+    StagedSearch,
+)
 
 __all__ = ["AttackSpec", "ATTACKS", "build_attack"]
 
@@ -40,8 +49,8 @@ class AttackSpec:
     """One named point in the source × strategy space.
 
     ``needs`` declares which paraphrasers the builder consumes
-    (``"word"`` / ``"sentence"``); ``params`` the constructor keywords it
-    forwards.  Callers like :meth:`ExperimentContext.make_attack` use both
+    (``"word"`` / ``"sentence"``); ``params`` the builder keywords a
+    caller may fill in.  Callers like :meth:`ExperimentContext.make_attack` use both
     to assemble arguments declaratively instead of per-attack branches.
 
     ``delta`` declares how this source × strategy combination benefits from
@@ -66,73 +75,137 @@ class AttackSpec:
     strategy: str  # search-strategy axis, e.g. "greedy scan"
     paper: str  # paper reference, e.g. "Alg. 3"
     summary: str
-    builder: Callable[..., Attack]
+    builder: Callable[..., AttackEngine]
     needs: tuple[str, ...] = ("word",)
     params: tuple[str, ...] = field(default_factory=tuple)
     delta: str = "no"  # delta-scoring eligibility: yes | word-stage | equal-len | no
 
 
 # -- builders (module-level for picklability) -------------------------------
+# Each composes one AttackEngine.  Its ``name`` is the journal header's
+# ``attack`` field (a journal resumes only under the same name) and is
+# recorded in traces and metrics.json, so it never changes.  ``**engine``
+# carries ``use_cache``, ``cache_max_entries`` and ``max_queries``.
 
-def _build_greedy_word(model, word_paraphraser=None, **kwargs):
-    return ObjectiveGreedyWordAttack(model, word_paraphraser, **kwargs)
+
+def _greedy(tau: float, strategy: str) -> SearchStrategy:
+    """Full-rescan (``"scan"``) or CELF lazy (``"lazy"``) greedy search."""
+    if strategy not in ("scan", "lazy"):
+        raise ValueError("strategy must be 'scan' or 'lazy'")
+    return GreedySearch(tau) if strategy == "scan" else LazyGreedySearch(tau)
+
+
+def _build_greedy_word(
+    model, word_paraphraser=None, *, word_budget_ratio=0.2, tau=0.7, strategy="scan", **engine
+):
+    """Kuleshov et al. [19], the practical greedy the paper compares against
+    in Table 3: one best word substitution per round, until τ or ``λ_w · n``."""
+    source = WordParaphraseSource(word_paraphraser, word_budget_ratio)
+    return AttackEngine(model, source, _greedy(tau, strategy), name="objective-greedy", **engine)
 
 
 def _build_lazy_greedy_word(model, word_paraphraser=None, **kwargs):
-    return ObjectiveGreedyWordAttack(model, word_paraphraser, strategy="lazy", **kwargs)
+    return _build_greedy_word(model, word_paraphraser, strategy="lazy", **kwargs)
 
 
-def _build_greedy_sentence(model, sentence_paraphraser=None, **kwargs):
-    return GreedySentenceAttack(model, sentence_paraphraser, **kwargs)
+def _build_greedy_sentence(
+    model, sentence_paraphraser=None, *, sentence_budget_ratio=0.2, tau=0.7, strategy="scan",
+    **engine,
+):
+    """Alg. 2, at most ``λ_s · l`` sentences.  The paper uses no gradients
+    here: a sentence paraphrase changes the token count, so a gradient taken
+    before it no longer lines up with the positions after it (Sec. 5.2).
+    Sentence candidates cost the most to score, so ``"lazy"`` saves most."""
+    source = SentenceParaphraseSource(sentence_paraphraser, sentence_budget_ratio)
+    return AttackEngine(model, source, _greedy(tau, strategy), name="greedy-sentence", **engine)
 
 
-def _build_gradient_guided(model, word_paraphraser=None, **kwargs):
-    return GradientGuidedGreedyAttack(model, word_paraphraser, **kwargs)
+def _build_gradient_guided(
+    model, word_paraphraser=None, *, word_budget_ratio=0.2, tau=0.7, words_per_iteration=5,
+    max_candidates=128, per_position_cap=2, max_iterations=50, selection="modular", **engine,
+):
+    """Alg. 3: the joint candidate product over the ``N =
+    words_per_iteration`` positions of highest first-order score (the paper
+    uses N = 5)."""
+    source = GradientRankedSource(
+        WordParaphraseSource(word_paraphraser, word_budget_ratio), selection=selection
+    )
+    search = GaussSouthwellSearch(
+        tau,
+        words_per_iteration=words_per_iteration,
+        max_candidates=max_candidates,
+        per_position_cap=per_position_cap,
+        max_iterations=max_iterations,
+    )
+    return AttackEngine(model, source, search, name="gradient-guided-greedy", **engine)
 
 
-def _build_gradient_word(model, word_paraphraser=None, **kwargs):
-    return GradientWordAttack(model, word_paraphraser, **kwargs)
+def _build_gradient_word(
+    model, word_paraphraser=None, *, word_budget_ratio=0.2, iterations=1, **engine
+):
+    source = WordParaphraseSource(word_paraphraser, word_budget_ratio)
+    return AttackEngine(model, source, FirstOrderSearch(iterations), name="gradient", **engine)
 
 
-def _build_random_word(model, word_paraphraser=None, **kwargs):
-    return RandomWordAttack(model, word_paraphraser, **kwargs)
+def _build_random_word(model, word_paraphraser=None, *, word_budget_ratio=0.2, seed=0, **engine):
+    source = WordParaphraseSource(word_paraphraser, word_budget_ratio)
+    return AttackEngine(model, source, RandomSearch(seed), name="random", **engine)
 
 
-def _build_beam_word(model, word_paraphraser=None, **kwargs):
-    return BeamSearchWordAttack(model, word_paraphraser, **kwargs)
+def _build_beam_word(
+    model, word_paraphraser=None, *, word_budget_ratio=0.2, tau=0.7, beam_width=3, **engine
+):
+    """Outside the paper's comparison: the next rung of search effort, an
+    upper reference for what the cheap methods leave on the table.
+    ``beam_width=1`` is the greedy baseline."""
+    source = WordParaphraseSource(word_paraphraser, word_budget_ratio)
+    search = BeamSearch(tau, beam_width=beam_width)
+    return AttackEngine(model, source, search, name="beam-search", **engine)
 
 
-def _build_charflip_greedy(model, **kwargs):
-    return ObjectiveGreedyWordAttack(model, CharFlipCandidates(), **kwargs)
+def _build_charflip_greedy(model, *, word_budget_ratio=0.2, tau=0.7, strategy="scan", **engine):
+    source = CharFlipSource(word_budget_ratio=word_budget_ratio)
+    return AttackEngine(model, source, _greedy(tau, strategy), name="objective-greedy", **engine)
 
 
-def _build_joint(model, word_paraphraser=None, sentence_paraphraser=None, **kwargs):
-    return JointParaphraseAttack(model, word_paraphraser, sentence_paraphraser, **kwargs)
+def _joint(model, sentence_paraphraser, sentence_budget_ratio, tau, strategy, word_stage, engine):
+    """Alg. 1: the sentence stage (steps 2-5, Alg. 2), then ``word_stage``
+    (steps 6-9) unless τ is already reached.  Both stages run on one
+    engine, so they share one ScoreCache and one query count."""
+    source = SentenceParaphraseSource(sentence_paraphraser, sentence_budget_ratio)
+    search = StagedSearch([(source, _greedy(tau, strategy)), word_stage], tau=tau)
+    return AttackEngine(model, source, search, name="joint-paraphrase", **engine)
 
 
-def _build_joint_greedy(model, word_paraphraser=None, sentence_paraphraser=None, **kwargs):
-    return JointParaphraseAttack(
-        model,
-        word_paraphraser,
-        sentence_paraphraser,
-        word_attack="objective-greedy",
-        **kwargs,
+def _build_joint(
+    model, word_paraphraser=None, sentence_paraphraser=None, *, word_budget_ratio=0.2,
+    sentence_budget_ratio=0.2, tau=0.7, words_per_iteration=5, strategy="scan", **engine,
+):
+    """The headline attack ("ours") of Tables 2, 4 and 5 and Figure 4:
+    Alg. 2, then Alg. 3 on its output."""
+    word_stage = (
+        GradientRankedSource(WordParaphraseSource(word_paraphraser, word_budget_ratio)),
+        GaussSouthwellSearch(tau, words_per_iteration=words_per_iteration),
+    )
+    return _joint(
+        model, sentence_paraphraser, sentence_budget_ratio, tau, strategy, word_stage, engine
+    )
+
+
+def _build_joint_greedy(
+    model, word_paraphraser=None, sentence_paraphraser=None, *, word_budget_ratio=0.2,
+    sentence_budget_ratio=0.2, tau=0.7, strategy="scan", **engine,
+):
+    """Alg. 1 with the objective-greedy word stage in place of Alg. 3."""
+    word_stage = (WordParaphraseSource(word_paraphraser, word_budget_ratio), _greedy(tau, strategy))
+    return _joint(
+        model, sentence_paraphraser, sentence_budget_ratio, tau, strategy, word_stage, engine
     )
 
 
 def _build_gumbel_word(
-    model,
-    word_paraphraser=None,
-    *,
-    word_budget_ratio=0.2,
-    tau=0.7,
-    n_probes=8,
-    temperature=0.1,
-    keep_ratio=0.5,
-    seed=0,
-    use_cache=True,
-    cache_max_entries=None,
-    max_queries=None,
+    model, word_paraphraser=None, *, word_budget_ratio=0.2, tau=0.7, n_probes=8,
+    temperature=0.1, keep_ratio=0.5, seed=0, **engine,
 ):
     source = GumbelSource(
         word_paraphraser,
@@ -142,33 +215,14 @@ def _build_gumbel_word(
         keep_ratio=keep_ratio,
         seed=seed,
     )
-    return AttackEngine(
-        model,
-        source,
-        GreedySearch(tau),
-        name="gumbel-word",
-        use_cache=use_cache,
-        cache_max_entries=cache_max_entries,
-        max_queries=max_queries,
-    )
+    return AttackEngine(model, source, GreedySearch(tau), name="gumbel-word", **engine)
 
 
 def _build_pso_word(
-    model,
-    word_paraphraser=None,
-    *,
-    word_budget_ratio=0.2,
-    tau=0.7,
-    n_particles=8,
-    iterations=10,
-    inertia=0.5,
-    cognitive=0.3,
-    mutation_rate=0.2,
-    seed=0,
-    use_cache=True,
-    cache_max_entries=None,
-    max_queries=None,
+    model, word_paraphraser=None, *, word_budget_ratio=0.2, tau=0.7, n_particles=8,
+    iterations=10, inertia=0.5, cognitive=0.3, mutation_rate=0.2, seed=0, **engine,
 ):
+    source = WordParaphraseSource(word_paraphraser, word_budget_ratio)
     search = ParticleSwarmSearch(
         tau=tau,
         n_particles=n_particles,
@@ -178,41 +232,16 @@ def _build_pso_word(
         mutation_rate=mutation_rate,
         seed=seed,
     )
-    return AttackEngine(
-        model,
-        WordParaphraseSource(word_paraphraser, word_budget_ratio),
-        search,
-        name="pso-word",
-        use_cache=use_cache,
-        cache_max_entries=cache_max_entries,
-        max_queries=max_queries,
-    )
+    return AttackEngine(model, source, search, name="pso-word", **engine)
 
 
 def _build_heuristic_saliency(
-    model,
-    word_paraphraser=None,
-    *,
-    word_budget_ratio=0.2,
-    tau=0.7,
-    candidate_rule="best",
-    mask_token="<unk>",
-    use_cache=True,
-    cache_max_entries=None,
-    max_queries=None,
+    model, word_paraphraser=None, *, word_budget_ratio=0.2, tau=0.7, candidate_rule="best",
+    mask_token="<unk>", **engine,
 ):
-    search = HeuristicRankSearch(
-        tau=tau, candidate_rule=candidate_rule, mask_token=mask_token
-    )
-    return AttackEngine(
-        model,
-        WordParaphraseSource(word_paraphraser, word_budget_ratio),
-        search,
-        name="heuristic-saliency",
-        use_cache=use_cache,
-        cache_max_entries=cache_max_entries,
-        max_queries=max_queries,
-    )
+    source = WordParaphraseSource(word_paraphraser, word_budget_ratio)
+    search = HeuristicRankSearch(tau=tau, candidate_rule=candidate_rule, mask_token=mask_token)
+    return AttackEngine(model, source, search, name="heuristic-saliency", **engine)
 
 
 _COMMON = ("word_budget_ratio", "tau", "use_cache", "cache_max_entries")
@@ -387,12 +416,14 @@ def build_attack(
     word_paraphraser=None,
     sentence_paraphraser=None,
     **kwargs,
-) -> Attack:
-    """Instantiate a registry attack by name.
+) -> AttackEngine:
+    """Compose the registry attack ``name`` against ``model``.
 
     Paraphrasers are forwarded only when the spec needs them; unknown
     names raise ``KeyError`` with the available choices, unknown keyword
-    arguments raise ``TypeError`` (from the constructor) as usual.
+    arguments raise ``TypeError`` (from the builder or the engine) as usual.
+    ``use_cache``, ``cache_max_entries`` and ``max_queries`` reach the
+    engine for every attack.
     """
     try:
         spec = ATTACKS[name]

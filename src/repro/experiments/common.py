@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.attacks import (
     ATTACKS,
-    Attack,
+    AttackEngine,
     ParaphraseConfig,
     SentenceParaphraser,
     WordParaphraser,
@@ -365,7 +365,8 @@ class ExperimentContext:
         sentence_budget: float | None = None,
         strategy: str = "scan",
         use_cache: bool = True,
-    ) -> Attack:
+        max_queries: int | None = None,
+    ) -> AttackEngine:
         """Attack factory by method name, resolved through the registry.
 
         ``method`` is a paper-terminology alias (``joint`` = Alg. 1 ours,
@@ -376,7 +377,8 @@ class ExperimentContext:
         keywords it takes, so new registry entries work here without new
         branches.  ``strategy`` selects scan vs CELF lazy greedy where the
         spec supports it; ``use_cache`` toggles the per-call
-        :class:`ScoreCache`.
+        :class:`ScoreCache`; ``max_queries`` caps model forwards per
+        document (the engine rejects a cap below 1).
         """
         name = METHOD_ALIASES.get(method, method)
         try:
@@ -405,6 +407,7 @@ class ExperimentContext:
             sentence_paraphraser=(
                 self.sentence_paraphraser(dataset) if "sentence" in spec.needs else None
             ),
+            max_queries=max_queries,
             **{p: available[p] for p in spec.params if p in available},
         )
         attack.set_profiler(self.profiler)

@@ -68,8 +68,8 @@ class MatrixAttack:
     ``method`` is anything :meth:`ExperimentContext.make_attack` accepts
     (paper alias or registry name); ``params`` are its keyword arguments
     (``word_budget``, ``sentence_budget``, ``strategy``, ``use_cache``)
-    frozen as a tuple; ``max_queries`` pins the engine's exact query
-    budget after construction.  ``label`` names the cell in tags and
+    frozen as a tuple; ``max_queries`` is the engine's exact query
+    budget, passed to its constructor.  ``label`` names the cell in tags and
     frames (defaults to the method name).
     """
 
@@ -394,10 +394,12 @@ class GridRunner:
         defense = cell.defense.build()
         victim = self.victim(cell.dataset, cell.arch, defense)
         attack = context.make_attack(
-            cell.attack.method, victim, cell.dataset, **cell.attack.kwargs()
+            cell.attack.method,
+            victim,
+            cell.dataset,
+            max_queries=cell.attack.max_queries,
+            **cell.attack.kwargs(),
         )
-        if cell.attack.max_queries is not None:
-            attack.max_queries = cell.attack.max_queries
         evaluation = evaluate_attack(
             victim,
             attack,

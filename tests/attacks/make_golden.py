@@ -11,7 +11,7 @@ containing the normalized ``AttackResult.to_dict()`` payloads for the first
 the one the parity test exercises.
 
 The fixtures were frozen from the pre-refactor attack classes; rerunning
-this script against the engine-backed attacks must reproduce the committed
+this script against the registry-built engines must reproduce the committed
 files byte for byte.
 """
 
@@ -19,16 +19,7 @@ from __future__ import annotations
 
 import json
 
-from repro.attacks import (
-    BeamSearchWordAttack,
-    CharFlipCandidates,
-    GradientGuidedGreedyAttack,
-    GradientWordAttack,
-    GreedySentenceAttack,
-    JointParaphraseAttack,
-    ObjectiveGreedyWordAttack,
-    RandomWordAttack,
-)
+from repro.attacks import build_attack
 from repro.eval.parallel import ParallelAttackRunner
 
 from tests.attacks.golden_setup import (
@@ -41,40 +32,14 @@ from tests.attacks.golden_setup import (
 )
 
 
-def build_case(name: str, victim, wp, sp):
-    """Construct one golden attack via the public class constructors."""
-    kw = GOLDEN_CASES[name]
-    if name == "greedy_word":
-        return ObjectiveGreedyWordAttack(victim, wp, 0.2, **kw)
-    if name == "lazy_greedy_word":
-        return ObjectiveGreedyWordAttack(victim, wp, 0.2, strategy="lazy", **kw)
-    if name == "greedy_sentence":
-        return GreedySentenceAttack(victim, sp, **kw)
-    if name == "gradient_guided":
-        return GradientGuidedGreedyAttack(victim, wp, 0.2, **kw)
-    if name == "gradient_word":
-        return GradientWordAttack(victim, wp, 0.2, **kw)
-    if name == "random_word":
-        return RandomWordAttack(victim, wp, 0.2, **kw)
-    if name == "beam_word":
-        return BeamSearchWordAttack(victim, wp, 0.2, **kw)
-    if name == "charflip_greedy":
-        return ObjectiveGreedyWordAttack(victim, CharFlipCandidates(), 0.2, **kw)
-    if name == "joint":
-        return JointParaphraseAttack(victim, wp, sp, 0.2, **kw)
-    if name == "joint_greedy":
-        return JointParaphraseAttack(
-            victim, wp, sp, 0.2, word_attack="objective-greedy", **kw
-        )
-    raise KeyError(name)
-
-
 def main() -> None:
     victim, wp, sp, attackable = fixture_bundle()
     docs, targets = golden_docs(attackable)
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name in sorted(GOLDEN_CASES):
-        attack = build_case(name, victim, wp, sp)
+        attack = build_attack(
+            name, victim, word_paraphraser=wp, sentence_paraphraser=sp, **GOLDEN_CASES[name]
+        )
         runner = ParallelAttackRunner(attack, n_workers=1, base_seed=BASE_SEED)
         results = runner.run(docs, targets)
         payloads = [normalize(r.to_dict()) for r in results]

@@ -3,15 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.attacks import (
-    GradientGuidedGreedyAttack,
-    GradientWordAttack,
-    GreedySentenceAttack,
-    JointParaphraseAttack,
-    ObjectiveGreedyWordAttack,
-    RandomWordAttack,
-    count_word_changes,
-)
+from repro.attacks import build_attack, count_word_changes
 from repro.attacks.base import AttackResult
 
 
@@ -44,36 +36,44 @@ class TestAttackResultHelpers:
 
 class TestAttackValidation:
     def test_empty_doc_rejected(self, victim, word_paraphraser):
-        atk = ObjectiveGreedyWordAttack(victim, word_paraphraser)
+        atk = build_attack("greedy_word", victim, word_paraphraser=word_paraphraser)
         with pytest.raises(ValueError):
             atk.attack([], 1)
 
     def test_bad_target_rejected(self, victim, word_paraphraser):
-        atk = ObjectiveGreedyWordAttack(victim, word_paraphraser)
+        atk = build_attack("greedy_word", victim, word_paraphraser=word_paraphraser)
         with pytest.raises(ValueError):
             atk.attack(["a"], 2)
 
     def test_bad_budget_ratio(self, victim, word_paraphraser):
         with pytest.raises(ValueError):
-            ObjectiveGreedyWordAttack(victim, word_paraphraser, word_budget_ratio=1.5)
+            build_attack(
+                "greedy_word", victim, word_paraphraser=word_paraphraser, word_budget_ratio=1.5
+            )
         with pytest.raises(ValueError):
-            GradientGuidedGreedyAttack(victim, word_paraphraser, word_budget_ratio=-0.1)
+            build_attack(
+                "gradient_guided", victim, word_paraphraser=word_paraphraser, word_budget_ratio=-0.1
+            )
 
     def test_bad_tau(self, victim, word_paraphraser):
         with pytest.raises(ValueError):
-            ObjectiveGreedyWordAttack(victim, word_paraphraser, tau=0.0)
+            build_attack("greedy_word", victim, word_paraphraser=word_paraphraser, tau=0.0)
 
     def test_bad_selection(self, victim, word_paraphraser):
         with pytest.raises(ValueError):
-            GradientGuidedGreedyAttack(victim, word_paraphraser, selection="psychic")
+            build_attack(
+                "gradient_guided", victim, word_paraphraser=word_paraphraser, selection="psychic"
+            )
 
     def test_bad_words_per_iteration(self, victim, word_paraphraser):
         with pytest.raises(ValueError):
-            GradientGuidedGreedyAttack(victim, word_paraphraser, words_per_iteration=0)
+            build_attack(
+                "gradient_guided", victim, word_paraphraser=word_paraphraser, words_per_iteration=0
+            )
 
     def test_gradient_iterations(self, victim, word_paraphraser):
         with pytest.raises(ValueError):
-            GradientWordAttack(victim, word_paraphraser, iterations=0)
+            build_attack("gradient_word", victim, word_paraphraser=word_paraphraser, iterations=0)
 
 
 def _attack_invariants(result: AttackResult, doc, budget_ratio):
@@ -91,19 +91,30 @@ def _attack_invariants(result: AttackResult, doc, budget_ratio):
 
 
 ATTACK_FACTORIES = {
-    "objective-greedy": lambda m, wp, sp: ObjectiveGreedyWordAttack(m, wp, 0.2),
-    "objective-greedy-lazy": lambda m, wp, sp: ObjectiveGreedyWordAttack(
-        m, wp, 0.2, strategy="lazy"
+    "objective-greedy": lambda m, wp, sp: build_attack("greedy_word", m, word_paraphraser=wp),
+    "objective-greedy-lazy": lambda m, wp, sp: build_attack(
+        "greedy_word", m, word_paraphraser=wp, strategy="lazy"
     ),
-    "gradient": lambda m, wp, sp: GradientWordAttack(m, wp, 0.2),
-    "gradient-guided": lambda m, wp, sp: GradientGuidedGreedyAttack(m, wp, 0.2),
-    "sentence": lambda m, wp, sp: GreedySentenceAttack(m, sp, 0.4),
-    "sentence-lazy": lambda m, wp, sp: GreedySentenceAttack(m, sp, 0.4, strategy="lazy"),
-    "joint": lambda m, wp, sp: JointParaphraseAttack(m, wp, sp, 0.2, 0.4),
-    "joint-lazy": lambda m, wp, sp: JointParaphraseAttack(
-        m, wp, sp, 0.2, 0.4, word_attack="objective-greedy", strategy="lazy"
+    "gradient": lambda m, wp, sp: build_attack("gradient_word", m, word_paraphraser=wp),
+    "gradient-guided": lambda m, wp, sp: build_attack("gradient_guided", m, word_paraphraser=wp),
+    "sentence": lambda m, wp, sp: build_attack(
+        "greedy_sentence", m, sentence_paraphraser=sp, sentence_budget_ratio=0.4
     ),
-    "random": lambda m, wp, sp: RandomWordAttack(m, wp, 0.2),
+    "sentence-lazy": lambda m, wp, sp: build_attack(
+        "greedy_sentence", m, sentence_paraphraser=sp, sentence_budget_ratio=0.4, strategy="lazy"
+    ),
+    "joint": lambda m, wp, sp: build_attack(
+        "joint", m, word_paraphraser=wp, sentence_paraphraser=sp, sentence_budget_ratio=0.4
+    ),
+    "joint-lazy": lambda m, wp, sp: build_attack(
+        "joint_greedy",
+        m,
+        word_paraphraser=wp,
+        sentence_paraphraser=sp,
+        sentence_budget_ratio=0.4,
+        strategy="lazy",
+    ),
+    "random": lambda m, wp, sp: build_attack("random_word", m, word_paraphraser=wp),
 }
 
 
@@ -139,19 +150,25 @@ class TestAllAttacksShared:
 
 class TestGreedyWordAttack:
     def test_improves_objective_on_most_docs(self, victim, word_paraphraser, attackable_docs):
-        atk = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2)
+        atk = build_attack("greedy_word", victim, word_paraphraser=word_paraphraser)
         gains = [atk.attack(d, t).prob_gain for d, t in attackable_docs]
         assert np.mean([g > 0 for g in gains]) > 0.7
 
     def test_zero_budget_no_changes(self, victim, word_paraphraser, attackable_docs):
-        atk = ObjectiveGreedyWordAttack(victim, word_paraphraser, word_budget_ratio=0.0)
+        atk = build_attack(
+            "greedy_word", victim, word_paraphraser=word_paraphraser, word_budget_ratio=0.0
+        )
         doc, target = attackable_docs[0]
         result = atk.attack(doc, target)
         assert result.adversarial == list(doc)
 
     def test_larger_budget_at_least_as_good(self, victim, word_paraphraser, attackable_docs):
-        small = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.05)
-        large = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.3)
+        small = build_attack(
+            "greedy_word", victim, word_paraphraser=word_paraphraser, word_budget_ratio=0.05
+        )
+        large = build_attack(
+            "greedy_word", victim, word_paraphraser=word_paraphraser, word_budget_ratio=0.3
+        )
         doc, target = attackable_docs[2]
         assert large.attack(doc, target).adversarial_prob >= small.attack(doc, target).adversarial_prob - 1e-9
 
@@ -161,17 +178,33 @@ class TestLazyStrategy:
 
     def test_invalid_strategy_rejected(self, victim, word_paraphraser, sentence_paraphraser):
         with pytest.raises(ValueError):
-            ObjectiveGreedyWordAttack(victim, word_paraphraser, strategy="psychic")
-        with pytest.raises(ValueError):
-            GreedySentenceAttack(victim, sentence_paraphraser, strategy="psychic")
-        with pytest.raises(ValueError):
-            JointParaphraseAttack(
-                victim, word_paraphraser, sentence_paraphraser, strategy="psychic"
+            build_attack(
+                "greedy_word", victim, word_paraphraser=word_paraphraser, strategy="psychic"
             )
+        with pytest.raises(ValueError):
+            build_attack(
+                "greedy_sentence",
+                victim,
+                sentence_paraphraser=sentence_paraphraser,
+                strategy="psychic",
+            )
+        for name in ("joint", "joint_greedy"):
+            with pytest.raises(ValueError):
+                build_attack(
+                    name,
+                    victim,
+                    word_paraphraser=word_paraphraser,
+                    sentence_paraphraser=sentence_paraphraser,
+                    strategy="psychic",
+                )
 
     def test_lazy_pays_fewer_forwards(self, victim, word_paraphraser, attackable_docs):
-        scan = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2, strategy="scan")
-        lazy = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2, strategy="lazy")
+        scan = build_attack(
+            "greedy_word", victim, word_paraphraser=word_paraphraser, strategy="scan"
+        )
+        lazy = build_attack(
+            "greedy_word", victim, word_paraphraser=word_paraphraser, strategy="lazy"
+        )
         q_scan = sum(scan.attack(d, t).n_queries for d, t in attackable_docs[:6])
         q_lazy = sum(lazy.attack(d, t).n_queries for d, t in attackable_docs[:6])
         assert q_lazy <= q_scan
@@ -180,11 +213,11 @@ class TestLazyStrategy:
         self, victim, word_paraphraser, sentence_paraphraser, attackable_docs
     ):
         def run(strategy, use_cache):
-            attack = JointParaphraseAttack(
+            attack = build_attack(
+                "joint_greedy",
                 victim,
-                word_paraphraser,
-                sentence_paraphraser,
-                word_attack="objective-greedy",
+                word_paraphraser=word_paraphraser,
+                sentence_paraphraser=sentence_paraphraser,
                 strategy=strategy,
                 use_cache=use_cache,
             )
@@ -200,27 +233,39 @@ class TestLazyStrategy:
         assert sum(r.success for r in fast) >= sum(r.success for r in naive) - 1
 
     def test_lazy_matches_scan_quality(self, victim, word_paraphraser, attackable_docs):
-        scan = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2, strategy="scan")
-        lazy = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2, strategy="lazy")
+        scan = build_attack(
+            "greedy_word", victim, word_paraphraser=word_paraphraser, strategy="scan"
+        )
+        lazy = build_attack(
+            "greedy_word", victim, word_paraphraser=word_paraphraser, strategy="lazy"
+        )
         p_scan = np.mean([scan.attack(d, t).adversarial_prob for d, t in attackable_docs[:6]])
         p_lazy = np.mean([lazy.attack(d, t).adversarial_prob for d, t in attackable_docs[:6]])
         assert p_lazy >= p_scan - 0.05
 
     def test_lazy_never_decreases_objective(self, victim, word_paraphraser, attackable_docs):
-        lazy = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2, strategy="lazy")
+        lazy = build_attack(
+            "greedy_word", victim, word_paraphraser=word_paraphraser, strategy="lazy"
+        )
         for doc, target in attackable_docs[:4]:
             result = lazy.attack(doc, target)
             assert result.adversarial_prob >= result.original_prob - 1e-9
 
     def test_lazy_zero_budget_identity(self, victim, word_paraphraser, attackable_docs):
-        lazy = ObjectiveGreedyWordAttack(
-            victim, word_paraphraser, word_budget_ratio=0.0, strategy="lazy"
+        lazy = build_attack(
+            "greedy_word",
+            victim,
+            word_paraphraser=word_paraphraser,
+            word_budget_ratio=0.0,
+            strategy="lazy",
         )
         doc, target = attackable_docs[0]
         assert lazy.attack(doc, target).adversarial == list(doc)
 
     def test_lazy_respects_word_budget(self, victim, word_paraphraser, attackable_docs):
-        lazy = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2, strategy="lazy")
+        lazy = build_attack(
+            "greedy_word", victim, word_paraphraser=word_paraphraser, strategy="lazy"
+        )
         doc, target = attackable_docs[0]
         result = lazy.attack(doc, target)
         n_changed = sum(a != b for a, b in zip(doc, result.adversarial))
@@ -229,8 +274,12 @@ class TestLazyStrategy:
     def test_lazy_sentence_budget_respected(self, victim, sentence_paraphraser, attackable_docs):
         from repro.text.sentence import split_sentences
 
-        lazy = GreedySentenceAttack(
-            victim, sentence_paraphraser, sentence_budget_ratio=0.3, strategy="lazy"
+        lazy = build_attack(
+            "greedy_sentence",
+            victim,
+            sentence_paraphraser=sentence_paraphraser,
+            sentence_budget_ratio=0.3,
+            strategy="lazy",
         )
         doc, target = attackable_docs[0]
         result = lazy.attack(doc, target)
@@ -240,14 +289,16 @@ class TestLazyStrategy:
 
 class TestGradientGuidedAttack:
     def test_stages_are_word(self, victim, word_paraphraser, attackable_docs):
-        atk = GradientGuidedGreedyAttack(victim, word_paraphraser, 0.2)
+        atk = build_attack("gradient_guided", victim, word_paraphraser=word_paraphraser)
         doc, target = attackable_docs[0]
         result = atk.attack(doc, target)
         assert set(result.stages) <= {"word"}
 
     @pytest.mark.parametrize("selection", ["modular", "gs_norm", "random"])
     def test_selection_variants_run(self, selection, victim, word_paraphraser, attackable_docs):
-        atk = GradientGuidedGreedyAttack(victim, word_paraphraser, 0.2, selection=selection)
+        atk = build_attack(
+            "gradient_guided", victim, word_paraphraser=word_paraphraser, selection=selection
+        )
         doc, target = attackable_docs[0]
         result = atk.attack(doc, target)
         assert result.adversarial_prob >= result.original_prob - 1e-9
@@ -255,23 +306,30 @@ class TestGradientGuidedAttack:
     def test_uses_fewer_queries_than_objective_greedy(
         self, victim, word_paraphraser, attackable_docs
     ):
-        ours = GradientGuidedGreedyAttack(victim, word_paraphraser, 0.2, words_per_iteration=3)
-        greedy = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2)
+        ours = build_attack(
+            "gradient_guided", victim, word_paraphraser=word_paraphraser, words_per_iteration=3
+        )
+        greedy = build_attack("greedy_word", victim, word_paraphraser=word_paraphraser)
         q_ours = sum(ours.attack(d, t).n_queries for d, t in attackable_docs)
         q_greedy = sum(greedy.attack(d, t).n_queries for d, t in attackable_docs)
         assert q_ours < q_greedy
 
     def test_prune_drops_freeloaders(self, victim, word_paraphraser, attackable_docs):
-        atk = GradientGuidedGreedyAttack(victim, word_paraphraser, 0.2)
+        atk = build_attack("gradient_guided", victim, word_paraphraser=word_paraphraser)
         doc, target = attackable_docs[0]
         subs = {0: doc[0], 1: doc[1]}  # no-op "substitutions" add nothing
-        kept = atk._prune(subs, list(doc), atk._score(doc, target), target)
+        kept = atk.search.prune(atk, subs, list(doc), atk._score(doc, target), target)
         assert len(kept) <= len(subs)
 
 
 class TestSentenceAttack:
     def test_sentence_budget_respected(self, victim, sentence_paraphraser, attackable_docs):
-        atk = GreedySentenceAttack(victim, sentence_paraphraser, sentence_budget_ratio=0.3)
+        atk = build_attack(
+            "greedy_sentence",
+            victim,
+            sentence_paraphraser=sentence_paraphraser,
+            sentence_budget_ratio=0.3,
+        )
         doc, target = attackable_docs[0]
         result = atk.attack(doc, target)
         from repro.text.sentence import split_sentences
@@ -280,7 +338,12 @@ class TestSentenceAttack:
         assert result.n_sentence_changes <= max(1, int(round(0.3 * n_sentences)))
 
     def test_zero_budget_identity(self, victim, sentence_paraphraser, attackable_docs):
-        atk = GreedySentenceAttack(victim, sentence_paraphraser, sentence_budget_ratio=0.0)
+        atk = build_attack(
+            "greedy_sentence",
+            victim,
+            sentence_paraphraser=sentence_paraphraser,
+            sentence_budget_ratio=0.0,
+        )
         doc, target = attackable_docs[0]
         assert atk.attack(doc, target).adversarial == list(doc)
 
@@ -289,8 +352,14 @@ class TestJointAttack:
     def test_beats_word_only_on_average(
         self, victim, word_paraphraser, sentence_paraphraser, attackable_docs
     ):
-        word_only = GradientGuidedGreedyAttack(victim, word_paraphraser, 0.2)
-        joint = JointParaphraseAttack(victim, word_paraphraser, sentence_paraphraser, 0.2, 0.6)
+        word_only = build_attack("gradient_guided", victim, word_paraphraser=word_paraphraser)
+        joint = build_attack(
+            "joint",
+            victim,
+            word_paraphraser=word_paraphraser,
+            sentence_paraphraser=sentence_paraphraser,
+            sentence_budget_ratio=0.6,
+        )
         w = np.mean([word_only.attack(d, t).adversarial_prob for d, t in attackable_docs])
         j = np.mean([joint.attack(d, t).adversarial_prob for d, t in attackable_docs])
         assert j >= w - 0.02  # sentence stage adds (or at worst matches)
@@ -298,13 +367,25 @@ class TestJointAttack:
     def test_query_accounting_resets_between_docs(
         self, victim, word_paraphraser, sentence_paraphraser, attackable_docs
     ):
-        joint = JointParaphraseAttack(victim, word_paraphraser, sentence_paraphraser, 0.2, 0.4)
+        joint = build_attack(
+            "joint",
+            victim,
+            word_paraphraser=word_paraphraser,
+            sentence_paraphraser=sentence_paraphraser,
+            sentence_budget_ratio=0.4,
+        )
         r1 = joint.attack(*attackable_docs[0])
         r2 = joint.attack(*attackable_docs[0])
         assert r1.n_queries == r2.n_queries  # deterministic & reset correctly
 
     def test_stage_tags(self, victim, word_paraphraser, sentence_paraphraser, attackable_docs):
-        joint = JointParaphraseAttack(victim, word_paraphraser, sentence_paraphraser, 0.2, 0.6)
+        joint = build_attack(
+            "joint",
+            victim,
+            word_paraphraser=word_paraphraser,
+            sentence_paraphraser=sentence_paraphraser,
+            sentence_budget_ratio=0.6,
+        )
         for doc, target in attackable_docs[:4]:
             result = joint.attack(doc, target)
             assert set(result.stages) <= {"sentence", "word"}
@@ -313,18 +394,24 @@ class TestJointAttack:
 class TestRandomAttack:
     def test_reproducible(self, victim, word_paraphraser, attackable_docs):
         doc, target = attackable_docs[0]
-        a = RandomWordAttack(victim, word_paraphraser, 0.2, seed=3).attack(doc, target)
-        b = RandomWordAttack(victim, word_paraphraser, 0.2, seed=3).attack(doc, target)
+        a = build_attack(
+            "random_word", victim, word_paraphraser=word_paraphraser, seed=3
+        ).attack(doc, target)
+        b = build_attack(
+            "random_word", victim, word_paraphraser=word_paraphraser, seed=3
+        ).attack(doc, target)
         assert a.adversarial == b.adversarial
 
     def test_zero_budget(self, victim, word_paraphraser, attackable_docs):
         doc, target = attackable_docs[0]
-        r = RandomWordAttack(victim, word_paraphraser, 0.0).attack(doc, target)
+        r = build_attack(
+            "random_word", victim, word_paraphraser=word_paraphraser, word_budget_ratio=0.0
+        ).attack(doc, target)
         assert r.adversarial == list(doc)
 
     def test_weaker_than_greedy(self, victim, word_paraphraser, attackable_docs):
-        rand = RandomWordAttack(victim, word_paraphraser, 0.2)
-        greedy = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2)
+        rand = build_attack("random_word", victim, word_paraphraser=word_paraphraser)
+        greedy = build_attack("greedy_word", victim, word_paraphraser=word_paraphraser)
         r = np.mean([rand.attack(d, t).adversarial_prob for d, t in attackable_docs])
         g = np.mean([greedy.attack(d, t).adversarial_prob for d, t in attackable_docs])
         assert g >= r

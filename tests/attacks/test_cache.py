@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.attacks import ObjectiveGreedyWordAttack, ScoreCache, score_key
+from repro.attacks import AttackEngine, ScoreCache, build_attack, score_key
 from repro.text.transformations import apply_word_substitutions
 
 
@@ -79,9 +79,15 @@ class TestBoundedCache:
     ):
         """A tiny cache changes accounting, never the attack outcome."""
         doc, target = attackable_docs[0]
-        unbounded = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2, use_cache=True)
-        bounded = ObjectiveGreedyWordAttack(
-            victim, word_paraphraser, 0.2, use_cache=True, cache_max_entries=4
+        unbounded = build_attack(
+            "greedy_word", victim, word_paraphraser=word_paraphraser, use_cache=True
+        )
+        bounded = build_attack(
+            "greedy_word",
+            victim,
+            word_paraphraser=word_paraphraser,
+            use_cache=True,
+            cache_max_entries=4,
         )
         ru = unbounded.attack(doc, target)
         rb = bounded.attack(doc, target)
@@ -98,8 +104,12 @@ class TestCachedScoring:
     def test_cached_scores_bitwise_identical(self, victim, word_paraphraser, attackable_docs):
         """The cache must change accounting, never probabilities."""
         doc, target = attackable_docs[0]
-        cached = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2, use_cache=True)
-        uncached = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2, use_cache=False)
+        cached = build_attack(
+            "greedy_word", victim, word_paraphraser=word_paraphraser, use_cache=True
+        )
+        uncached = build_attack(
+            "greedy_word", victim, word_paraphraser=word_paraphraser, use_cache=False
+        )
         rc = cached.attack(doc, target)
         ru = uncached.attack(doc, target)
         assert rc.adversarial == ru.adversarial
@@ -110,7 +120,7 @@ class TestCachedScoring:
 
     def test_repeat_score_is_served_from_cache(self, victim, word_paraphraser, attackable_docs):
         doc, target = attackable_docs[0]
-        atk = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2, use_cache=True)
+        atk = build_attack("greedy_word", victim, word_paraphraser=word_paraphraser, use_cache=True)
         atk._queries = 0
         atk._cache_hits = 0
         atk._cache = ScoreCache()
@@ -129,7 +139,7 @@ class TestCachedScoring:
         doc, target = attackable_docs[0]
         variant = apply_word_substitutions(list(doc), {0: "<unk>"})
         batch = [list(doc), variant, list(doc), variant, list(doc)]
-        atk = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2, use_cache=True)
+        atk = build_attack("greedy_word", victim, word_paraphraser=word_paraphraser, use_cache=True)
         atk._queries = 0
         atk._cache_hits = 0
         atk._cache = ScoreCache()
@@ -146,14 +156,16 @@ class TestCachedScoring:
         self, victim, word_paraphraser, attackable_docs
     ):
         doc, target = attackable_docs[1]
-        atk = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2, use_cache=True)
+        atk = build_attack("greedy_word", victim, word_paraphraser=word_paraphraser, use_cache=True)
         result = atk.attack(doc, target)
         assert result.n_queries >= 1
         assert result.n_cache_hits >= 0
 
     def test_no_caching_without_opt_in(self, victim, word_paraphraser, attackable_docs):
         doc, target = attackable_docs[0]
-        atk = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2, use_cache=False)
+        atk = build_attack(
+            "greedy_word", victim, word_paraphraser=word_paraphraser, use_cache=False
+        )
         result = atk.attack(doc, target)
         assert result.n_cache_hits == 0
 
@@ -162,7 +174,7 @@ class TestCacheInvalidation:
     def test_inference_dropout_disables_cache(self, victim, word_paraphraser, attackable_docs):
         """Bayesian-dropout scores are stochastic and must never be memoized."""
         doc, target = attackable_docs[0]
-        atk = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2, use_cache=True)
+        atk = build_attack("greedy_word", victim, word_paraphraser=word_paraphraser, use_cache=True)
         assert atk._caching_allowed()
         victim.inference_dropout = 0.3
         try:
@@ -173,7 +185,7 @@ class TestCacheInvalidation:
         assert result.n_cache_hits == 0
 
     def test_training_mode_disables_cache(self, victim, word_paraphraser):
-        atk = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2, use_cache=True)
+        atk = build_attack("greedy_word", victim, word_paraphraser=word_paraphraser, use_cache=True)
         victim.train()
         try:
             assert not atk._caching_allowed()
@@ -188,14 +200,14 @@ class TestCacheInvalidation:
             def predict_proba(self, docs):
                 return np.full((len(docs), 2), 0.5)
 
-        atk = ObjectiveGreedyWordAttack.__new__(ObjectiveGreedyWordAttack)
+        atk = AttackEngine.__new__(AttackEngine)
         atk.model = Wrapper()
         atk.use_cache = True
         assert atk._caching_allowed()
 
     def test_cache_is_cleared_between_calls(self, victim, word_paraphraser, attackable_docs):
         doc, target = attackable_docs[0]
-        atk = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2, use_cache=True)
+        atk = build_attack("greedy_word", victim, word_paraphraser=word_paraphraser, use_cache=True)
         r1 = atk.attack(doc, target)
         assert atk._cache is None  # no state leaks out of attack()
         r2 = atk.attack(doc, target)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.attacks.charflip import HOMOGLYPHS, CharFlipCandidates
-from repro.attacks.greedy_word import ObjectiveGreedyWordAttack
+from repro.attacks import build_attack
 
 
 class TestConstruction:
@@ -84,7 +84,7 @@ class TestCharFlipAttackIntegration:
 
     def test_charflip_attack_reduces_confidence(self, victim, attackable_docs):
         gen = CharFlipCandidates(min_word_length=4, max_candidates=6)
-        attack = ObjectiveGreedyWordAttack(victim, gen, word_budget_ratio=0.2)
+        attack = build_attack("greedy_word", victim, word_paraphraser=gen, word_budget_ratio=0.2)
         gains = []
         for doc, target in attackable_docs[:6]:
             result = attack.attack(doc, target)

@@ -15,9 +15,18 @@ from repro.attacks import (
     AttackResult,
     BeamSearch,
     CharFlipSource,
+    FirstOrderSearch,
+    GaussSouthwellSearch,
+    GradientRankedSource,
     GreedySearch,
+    GumbelSource,
+    HeuristicRankSearch,
     LazyGreedySearch,
+    ParticleSwarmSearch,
+    RandomSearch,
     SentenceParaphraseSource,
+    StagedSearch,
+    WordParaphraseSource,
     build_attack,
 )
 from repro.eval.parallel import ParallelAttackRunner, fork_available
@@ -77,9 +86,12 @@ class TestQueryBudget:
 
         def run(max_queries):
             engine = build_attack(
-                "greedy_word", victim, word_paraphraser=word_paraphraser, tau=0.99
+                "greedy_word",
+                victim,
+                word_paraphraser=word_paraphraser,
+                tau=0.99,
+                max_queries=max_queries,
             )
-            engine.max_queries = max_queries
             return engine.attack(doc, target)
 
         full = run(None)
@@ -95,6 +107,78 @@ class TestQueryBudget:
                 GreedySearch(),
                 max_queries=0,
             )
+
+
+#: what each registry name builds: the engine ``name`` (journal headers,
+#: traces and metrics.json record it), the source type and the search type
+REGISTRY_COMPOSITIONS = {
+    "greedy_word": ("objective-greedy", WordParaphraseSource, GreedySearch),
+    "lazy_greedy_word": ("objective-greedy", WordParaphraseSource, LazyGreedySearch),
+    "charflip_greedy": ("objective-greedy", CharFlipSource, GreedySearch),
+    "greedy_sentence": ("greedy-sentence", SentenceParaphraseSource, GreedySearch),
+    "gradient_guided": ("gradient-guided-greedy", GradientRankedSource, GaussSouthwellSearch),
+    "gradient_word": ("gradient", WordParaphraseSource, FirstOrderSearch),
+    "random_word": ("random", WordParaphraseSource, RandomSearch),
+    "beam_word": ("beam-search", WordParaphraseSource, BeamSearch),
+    "joint": ("joint-paraphrase", SentenceParaphraseSource, StagedSearch),
+    "joint_greedy": ("joint-paraphrase", SentenceParaphraseSource, StagedSearch),
+    "gumbel_word": ("gumbel-word", GumbelSource, GreedySearch),
+    "pso_word": ("pso-word", WordParaphraseSource, ParticleSwarmSearch),
+    "heuristic_saliency": ("heuristic-saliency", WordParaphraseSource, HeuristicRankSearch),
+}
+
+
+class TestRegistryCompositions:
+    def test_every_entry_is_pinned(self):
+        assert set(REGISTRY_COMPOSITIONS) == set(ATTACKS)
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY_COMPOSITIONS))
+    def test_builds_pinned_composition(
+        self, name, victim, word_paraphraser, sentence_paraphraser
+    ):
+        engine = build_attack(
+            name,
+            victim,
+            word_paraphraser=word_paraphraser,
+            sentence_paraphraser=sentence_paraphraser,
+        )
+        assert type(engine) is AttackEngine
+        assert (engine.name, type(engine.source), type(engine.search)) == (
+            REGISTRY_COMPOSITIONS[name]
+        )
+
+    @pytest.mark.parametrize(
+        "name,word_stage",
+        [
+            ("joint", (GradientRankedSource, GaussSouthwellSearch)),
+            ("joint_greedy", (WordParaphraseSource, GreedySearch)),
+        ],
+    )
+    def test_joint_stages(self, name, word_stage, victim, word_paraphraser, sentence_paraphraser):
+        engine = build_attack(
+            name,
+            victim,
+            word_paraphraser=word_paraphraser,
+            sentence_paraphraser=sentence_paraphraser,
+        )
+        stages = [(type(source), type(search)) for source, search in engine.search.stages]
+        assert stages == [(SentenceParaphraseSource, GreedySearch), word_stage]
+        assert engine.search.stages[0][0] is engine.source
+
+    @pytest.mark.parametrize("name", sorted(ATTACKS))
+    def test_engine_settings_reach_every_engine(
+        self, name, victim, word_paraphraser, sentence_paraphraser
+    ):
+        engine = build_attack(
+            name,
+            victim,
+            word_paraphraser=word_paraphraser,
+            sentence_paraphraser=sentence_paraphraser,
+            use_cache=False,
+            cache_max_entries=7,
+            max_queries=5,
+        )
+        assert (engine.use_cache, engine.cache_max_entries, engine.max_queries) == (False, 7, 5)
 
 
 class TestSpecPickling:

@@ -17,7 +17,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.attacks import ObjectiveGreedyWordAttack, ScoreCache, build_attack
+from repro.attacks import ScoreCache, build_attack
 from repro.data.datasets import Example
 from repro.eval import metrics
 from repro.eval.metrics import evaluate_attack
@@ -150,7 +150,7 @@ class TestEnvResolution:
                 seen.append(self.delta_scoring)
 
         monkeypatch.setattr(metrics, "ParallelAttackRunner", Recording)
-        attack = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2)
+        attack = build_attack("greedy_word", victim, word_paraphraser=word_paraphraser)
         # correctly classified, so the runner is always built
         examples = [Example(tuple(doc), 1 - target) for doc, target in attackable_docs[:1]]
 
@@ -238,7 +238,7 @@ class TestCacheKeySafety:
         base = list(doc)
         cand = list(base)
         cand[0] = "<unk>"
-        atk = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2, use_cache=True)
+        atk = build_attack("greedy_word", victim, word_paraphraser=word_paraphraser, use_cache=True)
         fn = DeltaScoreFn.for_model(victim)
         atk.set_score_fn(fn)
         atk._queries = 0
@@ -272,7 +272,7 @@ class TestCacheKeySafety:
         base = list(doc)
         cand = list(base)
         cand[-1] = "<unk>"
-        atk = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2, use_cache=True)
+        atk = build_attack("greedy_word", victim, word_paraphraser=word_paraphraser, use_cache=True)
         fn = DeltaScoreFn.for_model(victim)
         atk.set_score_fn(fn)
         atk._queries = 0
@@ -303,7 +303,9 @@ class TestDeltaObsReconciliation:
     def test_forwards_reconcile_and_delta_fields_present(
         self, victim, word_paraphraser, atk_corpus, tmp_path, n_workers
     ):
-        attack = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2, use_cache=True)
+        attack = build_attack(
+            "greedy_word", victim, word_paraphraser=word_paraphraser, use_cache=True
+        )
         evaluation = evaluate_attack(
             victim,
             attack,
@@ -335,7 +337,7 @@ class TestDeltaObsReconciliation:
         self, victim, word_paraphraser, attackable_docs
     ):
         docs, targets = golden_docs(attackable_docs)
-        attack = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2)
+        attack = build_attack("greedy_word", victim, word_paraphraser=word_paraphraser)
         registry = MetricsRegistry()
         victim.metrics = registry
         try:

@@ -169,16 +169,17 @@ class TestBudgetExactness:
             victim,
             word_paraphraser=word_paraphraser,
             sentence_paraphraser=sentence_paraphraser,
+            max_queries=cap,
         )
-        attack.max_queries = cap
         for doc, target in attackable_docs[:2]:
             result = attack.attack(doc, target)
             assert result.n_queries <= cap, (name, cap, result.n_queries)
 
     def test_truncation_walk_counts_like_score_batch(self, victim, word_paraphraser):
         """Cache hits stay free: a repeated doc never burns budget twice."""
-        attack = build_attack("greedy_word", victim, word_paraphraser=word_paraphraser)
-        attack.max_queries = 2
+        attack = build_attack(
+            "greedy_word", victim, word_paraphraser=word_paraphraser, max_queries=2
+        )
         attack._queries = 0
         attack._cache = ScoreCache(max_entries=attack.cache_max_entries)
         doc = ["great", "food"]
@@ -194,9 +195,8 @@ class TestBudgetExactness:
 
     def test_truncation_without_cache_counts_every_doc(self, victim, word_paraphraser):
         attack = build_attack(
-            "greedy_word", victim, word_paraphraser=word_paraphraser, use_cache=False
+            "greedy_word", victim, word_paraphraser=word_paraphraser, use_cache=False, max_queries=2
         )
-        attack.max_queries = 2
         attack._queries = 0
         doc = ["great", "food"]
         # without a cache there is no dedup: the duplicate costs a query too

@@ -94,11 +94,15 @@ class TestUrlClassifierAndAttack:
         assert model.accuracy(ds.documents("test"), ds.labels("test")) >= 0.95
 
     def test_framework_attack_transfers_to_urls(self, url_setup):
-        from repro.attacks import ObjectiveGreedyWordAttack
+        from repro.attacks import build_attack
 
         ds, model = url_setup
-        attack = ObjectiveGreedyWordAttack(
-            model, UrlCharCandidates(), word_budget_ratio=0.2, tau=0.7
+        attack = build_attack(
+            "greedy_word",
+            model,
+            word_paraphraser=UrlCharCandidates(),
+            word_budget_ratio=0.2,
+            tau=0.7,
         )
         docs = ds.documents("test")
         labels = ds.labels("test")

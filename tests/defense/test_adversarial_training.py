@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.attacks import ObjectiveGreedyWordAttack
+from repro.attacks import build_attack
 from repro.defense.adversarial_training import adversarial_training
 from repro.models import TrainConfig, WCNN
 from repro.text import Vocabulary, embedding_matrix_for_vocab
@@ -18,7 +18,7 @@ def small_setup(atk_corpus, atk_vectors, word_paraphraser):
         return WCNN(vocab, 72, pretrained_embeddings=emb, num_filters=32, seed=0)
 
     def attack_factory(model):
-        return ObjectiveGreedyWordAttack(model, word_paraphraser, 0.2)
+        return build_attack("greedy_word", model, word_paraphraser=word_paraphraser)
 
     return model_factory, attack_factory
 

@@ -6,7 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.attacks import ObjectiveGreedyWordAttack
+from repro.attacks import build_attack
 from repro.defense.registry import (
     DEFENSES,
     Defense,
@@ -29,8 +29,8 @@ def resources(atk_corpus, atk_lexicon, atk_vectors, word_paraphraser):
         model_factory=lambda: WCNN(
             vocab, 72, pretrained_embeddings=emb, num_filters=16, seed=0
         ),
-        attack_factory=lambda model: ObjectiveGreedyWordAttack(
-            model, word_paraphraser, 0.2
+        attack_factory=lambda model: build_attack(
+            "greedy_word", model, word_paraphraser=word_paraphraser
         ),
         seed=0,
     )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.attacks import ObjectiveGreedyWordAttack
+from repro.attacks import build_attack
 from repro.data import news_lexicon, sentiment_lexicon, spam_lexicon
 from repro.defense.smoothing import SmoothedClassifier
 
@@ -64,8 +64,8 @@ class TestSmoothing:
 
 class TestSmoothingAsDefense:
     def test_reduces_attack_success(self, victim, smoothed, word_paraphraser, attackable_docs):
-        base_attack = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2)
-        smooth_attack = ObjectiveGreedyWordAttack(smoothed, word_paraphraser, 0.2)
+        base_attack = build_attack("greedy_word", victim, word_paraphraser=word_paraphraser)
+        smooth_attack = build_attack("greedy_word", smoothed, word_paraphraser=word_paraphraser)
         base_wins = sum(base_attack.attack(d, t).success for d, t in attackable_docs)
         smooth_wins = sum(smooth_attack.attack(d, t).success for d, t in attackable_docs)
         # smoothing should not make the attack strictly easier

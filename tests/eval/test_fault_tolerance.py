@@ -18,7 +18,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.attacks import AttackFailure, AttackResult, ObjectiveGreedyWordAttack
+from repro.attacks import (
+    AttackEngine,
+    AttackFailure,
+    AttackResult,
+    GreedySearch,
+    WordParaphraseSource,
+)
 from repro.eval.parallel import (
     ParallelAttackRunner,
     RunnerFaultPolicy,
@@ -39,8 +45,8 @@ CRASH = "__crash__"
 FAST = RunnerFaultPolicy(backoff_seconds=0.0)
 
 
-class FaultInjectingAttack(ObjectiveGreedyWordAttack):
-    """Greedy attack that obeys fault-injection marker tokens.
+class FaultInjectingAttack(AttackEngine):
+    """Greedy word attack that obeys fault-injection marker tokens.
 
     A ``__kill__`` document kills the worker only while ``kill_flag`` does
     not exist yet (the flag is created just before dying, so the retry
@@ -52,7 +58,7 @@ class FaultInjectingAttack(ObjectiveGreedyWordAttack):
     name = "fault-injecting"
 
     def __init__(self, model, paraphraser, budget, kill_flag=None, **kwargs):
-        super().__init__(model, paraphraser, budget, **kwargs)
+        super().__init__(model, WordParaphraseSource(paraphraser, budget), GreedySearch(), **kwargs)
         self.kill_flag = str(kill_flag) if kill_flag is not None else None
 
     def attack(self, doc, target_label):

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.attacks import AttackFailure, AttackResult, RandomWordAttack
+from repro.attacks import AttackFailure, AttackResult, build_attack
 from repro.eval.journal import (
     JournalError,
     JournalMismatchError,
@@ -118,7 +118,9 @@ class TestEvaluateAttackResume:
     def test_journaled_run_writes_one_record_per_document(
         self, victim, word_paraphraser, run_kwargs, tmp_path
     ):
-        attack = RandomWordAttack(victim, word_paraphraser, 0.3, seed=5)
+        attack = build_attack(
+            "random_word", victim, word_paraphraser=word_paraphraser, word_budget_ratio=0.3, seed=5
+        )
         path = tmp_path / "run.jsonl"
         ev = evaluate_attack(victim, attack, journal_path=path, **run_kwargs)
         journal = RunJournal(path)
@@ -134,12 +136,16 @@ class TestEvaluateAttackResume:
     ):
         # stochastic attack: resume equality only holds if the remaining
         # documents keep their original seed indices
-        fresh_attack = RandomWordAttack(victim, word_paraphraser, 0.3, seed=5)
+        fresh_attack = build_attack(
+            "random_word", victim, word_paraphraser=word_paraphraser, word_budget_ratio=0.3, seed=5
+        )
         fresh = evaluate_attack(victim, fresh_attack, **run_kwargs)
         assert fresh.n_attacked > 3
 
         path = tmp_path / "run.jsonl"
-        interrupted_attack = RandomWordAttack(victim, word_paraphraser, 0.3, seed=5)
+        interrupted_attack = build_attack(
+            "random_word", victim, word_paraphraser=word_paraphraser, word_budget_ratio=0.3, seed=5
+        )
 
         def interrupt_after_three(beat):
             if beat.done >= 3:
@@ -156,7 +162,9 @@ class TestEvaluateAttackResume:
         journaled = RunJournal(path).completed_indices()
         assert 0 < len(journaled) < fresh.n_attacked
 
-        resumed_attack = RandomWordAttack(victim, word_paraphraser, 0.3, seed=5)
+        resumed_attack = build_attack(
+            "random_word", victim, word_paraphraser=word_paraphraser, word_budget_ratio=0.3, seed=5
+        )
         beats = []
         resumed = evaluate_attack(
             victim, resumed_attack, journal_path=path, progress=beats.append, **run_kwargs
@@ -192,9 +200,13 @@ class TestEvaluateAttackResume:
         self, victim, word_paraphraser, run_kwargs, tmp_path
     ):
         path = tmp_path / "run.jsonl"
-        attack = RandomWordAttack(victim, word_paraphraser, 0.3, seed=5)
+        attack = build_attack(
+            "random_word", victim, word_paraphraser=word_paraphraser, word_budget_ratio=0.3, seed=5
+        )
         first = evaluate_attack(victim, attack, journal_path=path, **run_kwargs)
-        replay_attack = RandomWordAttack(victim, word_paraphraser, 0.3, seed=5)
+        replay_attack = build_attack(
+            "random_word", victim, word_paraphraser=word_paraphraser, word_budget_ratio=0.3, seed=5
+        )
         beats = []
         replay = evaluate_attack(
             victim, replay_attack, journal_path=path, progress=beats.append, **run_kwargs
@@ -207,7 +219,9 @@ class TestEvaluateAttackResume:
         self, victim, word_paraphraser, run_kwargs, tmp_path
     ):
         path = tmp_path / "run.jsonl"
-        attack = RandomWordAttack(victim, word_paraphraser, 0.3, seed=5)
+        attack = build_attack(
+            "random_word", victim, word_paraphraser=word_paraphraser, word_budget_ratio=0.3, seed=5
+        )
         evaluate_attack(victim, attack, journal_path=path, **run_kwargs)
         other = dict(run_kwargs, seed=4)
         with pytest.raises(JournalMismatchError):

@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from repro.attacks import ObjectiveGreedyWordAttack, RandomWordAttack
+from repro.attacks import build_attack
 from repro.eval.config import RunConfig
 from repro.eval.metrics import evaluate_attack
 from repro.eval.parallel import (
@@ -116,7 +116,7 @@ class TestResolveNumWorkers:
 
     def test_runner_never_reads_the_environment(self, victim, word_paraphraser, monkeypatch):
         monkeypatch.setenv(NUM_WORKERS_ENV, "2")
-        attack = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2)
+        attack = build_attack("greedy_word", victim, word_paraphraser=word_paraphraser)
         assert ParallelAttackRunner(attack).n_workers == 1
 
 
@@ -124,7 +124,7 @@ class TestWorkerPerfAttachment:
     def test_untracked_worker_detaches_forked_recorder(self, victim, word_paraphraser):
         # with track_metrics=False the fork-copied parent registry must be
         # dropped from the model and the profiler, not silently recorded into
-        attack = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2)
+        attack = build_attack("greedy_word", victim, word_paraphraser=word_paraphraser)
         parent = MetricsRegistry()
         attack.set_profiler(PhaseProfiler(registry=parent))
         prev = victim.metrics
@@ -138,7 +138,7 @@ class TestWorkerPerfAttachment:
             victim.metrics = prev
 
     def test_tracked_worker_gets_fresh_recorder(self, victim, word_paraphraser):
-        attack = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2)
+        attack = build_attack("greedy_word", victim, word_paraphraser=word_paraphraser)
         parent = MetricsRegistry()
         attack.set_profiler(PhaseProfiler(registry=parent))
         prev = victim.metrics
@@ -159,7 +159,7 @@ class TestScoreFnAttachment:
         self, victim, word_paraphraser, corpus_slice
     ):
         docs, targets = corpus_slice
-        attack = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2)
+        attack = build_attack("greedy_word", victim, word_paraphraser=word_paraphraser)
         ParallelAttackRunner(
             attack, n_workers=1, base_seed=0, delta_scoring=True
         ).run(docs[:1], targets[:1])
@@ -168,18 +168,18 @@ class TestScoreFnAttachment:
 
 class TestRunnerValidation:
     def test_bad_chunk_size(self, victim, word_paraphraser):
-        attack = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2)
+        attack = build_attack("greedy_word", victim, word_paraphraser=word_paraphraser)
         with pytest.raises(ValueError):
             ParallelAttackRunner(attack, chunk_size=0)
 
     def test_length_mismatch(self, victim, word_paraphraser):
-        attack = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2)
+        attack = build_attack("greedy_word", victim, word_paraphraser=word_paraphraser)
         runner = ParallelAttackRunner(attack, n_workers=1)
         with pytest.raises(ValueError):
             runner.run([["a"]], [0, 1])
 
     def test_empty_corpus(self, victim, word_paraphraser):
-        attack = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2)
+        attack = build_attack("greedy_word", victim, word_paraphraser=word_paraphraser)
         runner = ParallelAttackRunner(attack, n_workers=1)
         assert runner.run([], []) == []
 
@@ -190,7 +190,7 @@ class TestShardInvariance:
         self, victim, word_paraphraser, corpus_slice
     ):
         docs, targets = corpus_slice
-        attack = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2)
+        attack = build_attack("greedy_word", victim, word_paraphraser=word_paraphraser)
         serial = ParallelAttackRunner(attack, n_workers=1).run(docs, targets)
         for workers in (2, 4):
             pooled = ParallelAttackRunner(attack, n_workers=workers).run(docs, targets)
@@ -200,10 +200,12 @@ class TestShardInvariance:
     def test_stochastic_attack_shard_invariance(
         self, victim, word_paraphraser, corpus_slice
     ):
-        # RandomWordAttack's choices depend on its seed; reseeding from the
+        # random_word's choices depend on its seed; reseeding from the
         # document index must make results independent of sharding
         docs, targets = corpus_slice
-        attack = RandomWordAttack(victim, word_paraphraser, 0.3, seed=99)
+        attack = build_attack(
+            "random_word", victim, word_paraphraser=word_paraphraser, word_budget_ratio=0.3, seed=99
+        )
         serial = ParallelAttackRunner(attack, n_workers=1).run(docs, targets)
         pooled = ParallelAttackRunner(attack, n_workers=2).run(docs, targets)
         one_per_chunk = ParallelAttackRunner(attack, n_workers=2, chunk_size=1).run(
@@ -215,7 +217,7 @@ class TestShardInvariance:
     @needs_fork
     def test_results_in_input_order(self, victim, word_paraphraser, corpus_slice):
         docs, targets = corpus_slice
-        attack = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2)
+        attack = build_attack("greedy_word", victim, word_paraphraser=word_paraphraser)
         results = ParallelAttackRunner(attack, n_workers=2, chunk_size=1).run(
             docs, targets
         )
@@ -229,7 +231,7 @@ class TestPerfMerge:
         self, victim, word_paraphraser, corpus_slice
     ):
         docs, targets = corpus_slice
-        attack = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2)
+        attack = build_attack("greedy_word", victim, word_paraphraser=word_paraphraser)
         prev = victim.metrics
         try:
             serial = MetricsRegistry()
@@ -250,23 +252,23 @@ class TestPerfMerge:
 class TestReseed:
     def test_reseed_is_deterministic(self, victim, word_paraphraser, corpus_slice):
         docs, _ = corpus_slice
-        attack = RandomWordAttack(victim, word_paraphraser, 0.3, seed=1)
+        attack = build_attack(
+            "random_word", victim, word_paraphraser=word_paraphraser, word_budget_ratio=0.3, seed=1
+        )
         attack.reseed(7)
         first = attack.attack(docs[0], 1)
         attack.reseed(7)
         second = attack.attack(docs[0], 1)
-        assert attack.seed == 7
+        assert attack.search.seed == 7
         assert first.adversarial == second.adversarial
 
     def test_reseed_replaces_generator_attributes(self, victim, word_paraphraser):
-        from repro.attacks import GradientGuidedGreedyAttack
-
-        attack = GradientGuidedGreedyAttack(victim, word_paraphraser, 0.2)
+        attack = build_attack("gradient_guided", victim, word_paraphraser=word_paraphraser)
         attack.reseed(11)
-        state_a = attack._selection_rng.bit_generator.state
-        attack._selection_rng.random()  # advance the stream
+        state_a = attack.source._selection_rng.bit_generator.state
+        attack.source._selection_rng.random()  # advance the stream
         attack.reseed(11)
-        assert attack._selection_rng.bit_generator.state == state_a
+        assert attack.source._selection_rng.bit_generator.state == state_a
 
     def test_document_seed_distinct_and_stable(self):
         seeds = {_document_seed(0, i) for i in range(100)}
@@ -276,7 +278,7 @@ class TestReseed:
 
 @needs_fork
 def test_evaluate_attack_worker_count_invariant(victim, word_paraphraser, atk_corpus):
-    attack = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2)
+    attack = build_attack("greedy_word", victim, word_paraphraser=word_paraphraser)
     serial = evaluate_attack(victim, attack, atk_corpus.test, max_examples=N_DOCS)
     pooled = evaluate_attack(
         victim, attack, atk_corpus.test, max_examples=N_DOCS, n_workers=2
@@ -297,13 +299,17 @@ def test_evaluate_attack_serial_branch_reseeds_like_the_pool(
     the runner and must agree for every worker count."""
     serial = evaluate_attack(
         victim,
-        RandomWordAttack(victim, word_paraphraser, 0.3, seed=99),
+        build_attack(
+            "random_word", victim, word_paraphraser=word_paraphraser, word_budget_ratio=0.3, seed=99
+        ),
         atk_corpus.test,
         max_examples=N_DOCS,
     )
     explicit_one = evaluate_attack(
         victim,
-        RandomWordAttack(victim, word_paraphraser, 0.3, seed=99),
+        build_attack(
+            "random_word", victim, word_paraphraser=word_paraphraser, word_budget_ratio=0.3, seed=99
+        ),
         atk_corpus.test,
         max_examples=N_DOCS,
         n_workers=1,
@@ -315,7 +321,13 @@ def test_evaluate_attack_serial_branch_reseeds_like_the_pool(
         for workers in (2, 4):
             pooled = evaluate_attack(
                 victim,
-                RandomWordAttack(victim, word_paraphraser, 0.3, seed=99),
+                build_attack(
+                    "random_word",
+                    victim,
+                    word_paraphraser=word_paraphraser,
+                    word_budget_ratio=0.3,
+                    seed=99,
+                ),
                 atk_corpus.test,
                 max_examples=N_DOCS,
                 n_workers=workers,
@@ -331,7 +343,7 @@ def test_evaluate_attack_env_var_routes_through_runner(
 ):
     if not fork_available():
         pytest.skip("fork start method unavailable")
-    attack = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2)
+    attack = build_attack("greedy_word", victim, word_paraphraser=word_paraphraser)
     baseline = evaluate_attack(victim, attack, atk_corpus.test, max_examples=4)
     monkeypatch.setenv(NUM_WORKERS_ENV, "2")
     via_env = evaluate_attack(victim, attack, atk_corpus.test, max_examples=4)

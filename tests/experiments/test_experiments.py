@@ -137,8 +137,10 @@ class TestContext:
         for alias, target in METHOD_ALIASES.items():
             assert target in ATTACKS
             attack = ctx.make_attack(alias, model, "yelp")
-            assert attack is not None
-            assert type(attack) is type(ctx.make_attack(target, model, "yelp"))
+            direct = ctx.make_attack(target, model, "yelp")
+            assert attack.name == direct.name
+            assert type(attack.source) is type(direct.source)
+            assert type(attack.search) is type(direct.search)
 
 
 class TestTable6:

@@ -224,3 +224,20 @@ class TestGridRunner:
         )
         ev = frame.results[0].evaluation
         assert all(r.n_queries <= 10 for r in ev.results)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            small_matrix(attacks=(MatrixAttack.of("greedy_word", max_queries=0),)),
+            small_matrix(
+                attacks=(MatrixAttack.of("greedy_word"),),
+                overrides=(CellOverride.of(attack="greedy_word", max_queries=0),),
+            ),
+        ],
+        ids=["attack", "override"],
+    )
+    def test_zero_query_budget_rejected(self, ctx, matrix):
+        # the cap goes through the engine's constructor check; a cell must
+        # not run with it and turn every document into an AttackFailure
+        with pytest.raises(ValueError, match="max_queries"):
+            GridRunner(ctx).run(matrix)

@@ -6,12 +6,7 @@ exact reconciliation contract, because every attack routes through the one
 
 import pytest
 
-from repro.attacks import (
-    CharFlipCandidates,
-    GradientWordAttack,
-    ObjectiveGreedyWordAttack,
-    RandomWordAttack,
-)
+from repro.attacks import build_attack
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import PhaseProfiler
 from repro.obs.trace import TraceRecorder, iter_trace_files, read_trace
@@ -19,9 +14,11 @@ from repro.obs.trace import TraceRecorder, iter_trace_files, read_trace
 
 def _attacks(victim, word_paraphraser):
     return {
-        "charflip": ObjectiveGreedyWordAttack(victim, CharFlipCandidates(), 0.2),
-        "random": RandomWordAttack(victim, word_paraphraser, 0.3, seed=3),
-        "gradient": GradientWordAttack(victim, word_paraphraser, 0.2),
+        "charflip": build_attack("charflip_greedy", victim),
+        "random": build_attack(
+            "random_word", victim, word_paraphraser=word_paraphraser, word_budget_ratio=0.3, seed=3
+        ),
+        "gradient": build_attack("gradient_word", victim, word_paraphraser=word_paraphraser),
     }
 
 
@@ -47,7 +44,7 @@ def test_previously_uninstrumented_attacks_reconcile(
 
 def test_gradient_attack_traces_gradient_ops(victim, word_paraphraser, attackable_docs, tmp_path):
     doc, target = attackable_docs[0]
-    attack = GradientWordAttack(victim, word_paraphraser, 0.2, iterations=2)
+    attack = build_attack("gradient_word", victim, word_paraphraser=word_paraphraser, iterations=2)
     attack.tracer = TraceRecorder(tmp_path)
     result = attack.attack(doc, target)
     (path,) = list(iter_trace_files(tmp_path))

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.attacks import ObjectiveGreedyWordAttack
+from repro.attacks import build_attack
 from repro.eval.journal import RunJournal
 from repro.eval.metrics import evaluate_attack
 from repro.obs.registry import MetricsRegistry
@@ -26,7 +26,7 @@ N_EXAMPLES = 6
 
 
 def _attack(victim, word_paraphraser):
-    return ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2, use_cache=True)
+    return build_attack("greedy_word", victim, word_paraphraser=word_paraphraser, use_cache=True)
 
 
 def _traced_run(victim, word_paraphraser, atk_corpus, trace_dir, n_workers, **kwargs):

@@ -12,7 +12,7 @@ import urllib.request
 
 import pytest
 
-from repro.attacks import ObjectiveGreedyWordAttack
+from repro.attacks import build_attack
 from repro.eval.metrics import evaluate_attack
 from repro.obs.exporter import TelemetryServer
 from repro.obs.report import METRICS_FILENAME
@@ -23,7 +23,7 @@ N_EXAMPLES = 6
 
 
 def _run(victim, word_paraphraser, atk_corpus, trace_dir, n_workers, **kwargs):
-    attack = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2, use_cache=True)
+    attack = build_attack("greedy_word", victim, word_paraphraser=word_paraphraser, use_cache=True)
     return evaluate_attack(
         victim,
         attack,

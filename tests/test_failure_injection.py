@@ -4,12 +4,7 @@ and hostile edge cases across module boundaries."""
 import numpy as np
 import pytest
 
-from repro.attacks import (
-    GradientGuidedGreedyAttack,
-    ObjectiveGreedyWordAttack,
-    WordParaphraser,
-    ParaphraseConfig,
-)
+from repro.attacks import ParaphraseConfig, WordParaphraser, build_attack
 from repro.text.transformations import WordNeighborSets
 from repro.data.datasets import Example, TextDataset
 from repro.eval.metrics import evaluate_attack
@@ -48,25 +43,31 @@ class TestDegenerateAttackInputs:
             def neighbor_sets(self, tokens):
                 return WordNeighborSets([[] for _ in tokens])
 
-        attack = ObjectiveGreedyWordAttack(victim, EmptyCandidates(), 0.2)
+        attack = build_attack("greedy_word", victim, word_paraphraser=EmptyCandidates())
         doc = ["the", "food", "was", "great", "."]
         result = attack.attack(doc, 0)
         assert result.adversarial == doc
         assert not result.stages
 
     def test_attack_single_token_document(self, victim, word_paraphraser):
-        attack = GradientGuidedGreedyAttack(victim, word_paraphraser, 1.0)
+        attack = build_attack(
+            "gradient_guided", victim, word_paraphraser=word_paraphraser, word_budget_ratio=1.0
+        )
         result = attack.attack(["great"], 0)
         assert 0.0 <= result.adversarial_prob <= 1.0
 
     def test_attack_all_unknown_tokens(self, victim, word_paraphraser):
-        attack = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.5)
+        attack = build_attack(
+            "greedy_word", victim, word_paraphraser=word_paraphraser, word_budget_ratio=0.5
+        )
         result = attack.attack(["zzz", "qqq", "xxx"], 1)
         assert result.adversarial == ["zzz", "qqq", "xxx"]
 
     def test_attack_document_longer_than_max_len(self, victim, word_paraphraser):
         long_doc = ["great", "food", "."] * 60  # 180 tokens > max_len 72
-        attack = GradientGuidedGreedyAttack(victim, word_paraphraser, 0.1)
+        attack = build_attack(
+            "gradient_guided", victim, word_paraphraser=word_paraphraser, word_budget_ratio=0.1
+        )
         result = attack.attack(long_doc, 0)
         assert len(result.adversarial) == len(long_doc)
 
@@ -77,7 +78,7 @@ class TestDegenerateEvaluation:
         docs = [["great", "food", "."], ["terrible", "meal", "."]]
         preds = victim.predict(docs)
         wrong = [Example(tuple(d), int(1 - p)) for d, p in zip(docs, preds)]
-        attack = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2)
+        attack = build_attack("greedy_word", victim, word_paraphraser=word_paraphraser)
         ev = evaluate_attack(victim, attack, wrong)
         assert ev.clean_accuracy == 0.0
         assert ev.n_attacked == 0

@@ -7,7 +7,7 @@ real models, complementing the per-module unit tests.
 
 import numpy as np
 
-from repro.attacks import JointParaphraseAttack
+from repro.attacks import build_attack
 from repro.text.transformations import apply_word_substitutions
 from repro.eval.metrics import evaluate_attack
 from repro.models.bow import BowClassifier
@@ -74,8 +74,12 @@ class TestEndToEndPipeline:
 
     def test_attack_then_augment_then_improve(self, victim, atk_corpus, word_paraphraser,
                                               sentence_paraphraser):
-        attack = JointParaphraseAttack(
-            victim, word_paraphraser, sentence_paraphraser, 0.2, 0.4
+        attack = build_attack(
+            "joint",
+            victim,
+            word_paraphraser=word_paraphraser,
+            sentence_paraphraser=sentence_paraphraser,
+            sentence_budget_ratio=0.4,
         )
         ev = evaluate_attack(victim, attack, atk_corpus.test, max_examples=16)
         assert ev.clean_accuracy > 0.8
@@ -88,8 +92,12 @@ class TestEndToEndPipeline:
 
     def test_attack_results_consistent_with_model(self, victim, atk_corpus, word_paraphraser,
                                                   sentence_paraphraser):
-        attack = JointParaphraseAttack(
-            victim, word_paraphraser, sentence_paraphraser, 0.2, 0.4
+        attack = build_attack(
+            "joint",
+            victim,
+            word_paraphraser=word_paraphraser,
+            sentence_paraphraser=sentence_paraphraser,
+            sentence_budget_ratio=0.4,
         )
         ev = evaluate_attack(victim, attack, atk_corpus.test, max_examples=8)
         for r in ev.results:
