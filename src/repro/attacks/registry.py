@@ -5,9 +5,9 @@ every attack in the repo is one point in it.  This table makes that
 explicit: :data:`ATTACKS` maps stable names to :class:`AttackSpec`\\ s, and
 :func:`build_attack` — the one constructor of a named attack — composes
 its :class:`~repro.attacks.engine.AttackEngine` against a victim model.  The
-experiment drivers (:mod:`repro.experiments.common`), the parallel corpus
-runner and the ``list-attacks`` CLI verb all resolve attacks by these
-names, and novel combinations (char-flip × beam, sentence × lazy, ...)
+experiment drivers (:mod:`repro.experiments.common`) and the
+``list-attacks`` CLI verb resolve attacks by these names, and novel
+combinations (char-flip × beam, sentence × lazy, ...)
 are one ``AttackEngine(model, source, strategy)`` away — see
 ``docs/architecture.md`` for a worked example.
 
@@ -17,8 +17,9 @@ the fork pool.
 
 from __future__ import annotations
 
+import inspect
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.attacks.engine import AttackEngine
 from repro.attacks.proposals import (
@@ -43,14 +44,17 @@ from repro.attacks.search import (
 
 __all__ = ["AttackSpec", "ATTACKS", "build_attack"]
 
+#: AttackEngine keywords that every builder forwards through ``**engine``
+_ENGINE_PARAMS = ("use_cache", "cache_max_entries", "max_queries")
+
 
 @dataclass(frozen=True)
 class AttackSpec:
     """One named point in the source × strategy space.
 
     ``needs`` declares which paraphrasers the builder consumes
-    (``"word"`` / ``"sentence"``); ``params`` the builder keywords a
-    caller may fill in.  Callers like :meth:`ExperimentContext.make_attack` use both
+    (``"word"`` / ``"sentence"``); :attr:`params` lists the keywords a
+    caller may set.  Callers like :meth:`ExperimentContext.make_attack` use both
     to assemble arguments declaratively instead of per-attack branches.
 
     ``delta`` declares how this source × strategy combination benefits from
@@ -77,8 +81,15 @@ class AttackSpec:
     summary: str
     builder: Callable[..., AttackEngine]
     needs: tuple[str, ...] = ("word",)
-    params: tuple[str, ...] = field(default_factory=tuple)
     delta: str = "no"  # delta-scoring eligibility: yes | word-stage | equal-len | no
+
+    @property
+    def params(self) -> tuple[str, ...]:
+        """The builder's keyword-only parameters, then the engine keywords
+        every builder forwards through ``**engine``."""
+        parameters = inspect.signature(self.builder).parameters.values()
+        own = tuple(p.name for p in parameters if p.kind is p.KEYWORD_ONLY)
+        return own + _ENGINE_PARAMS
 
 
 # -- builders (module-level for picklability) -------------------------------
@@ -104,8 +115,13 @@ def _build_greedy_word(
     return AttackEngine(model, source, _greedy(tau, strategy), name="objective-greedy", **engine)
 
 
-def _build_lazy_greedy_word(model, word_paraphraser=None, **kwargs):
-    return _build_greedy_word(model, word_paraphraser, strategy="lazy", **kwargs)
+def _build_lazy_greedy_word(
+    model, word_paraphraser=None, *, word_budget_ratio=0.2, tau=0.7, **engine
+):
+    return _build_greedy_word(
+        model, word_paraphraser, word_budget_ratio=word_budget_ratio, tau=tau, strategy="lazy",
+        **engine,
+    )
 
 
 def _build_greedy_sentence(
@@ -244,8 +260,6 @@ def _build_heuristic_saliency(
     return AttackEngine(model, source, search, name="heuristic-saliency", **engine)
 
 
-_COMMON = ("word_budget_ratio", "tau", "use_cache", "cache_max_entries")
-
 ATTACKS: dict[str, AttackSpec] = {
     "greedy_word": AttackSpec(
         name="greedy_word",
@@ -255,7 +269,6 @@ ATTACKS: dict[str, AttackSpec] = {
         summary="one best word substitution per round, full rescan",
         builder=_build_greedy_word,
         needs=("word",),
-        params=_COMMON + ("strategy",),
         delta="yes",
     ),
     "lazy_greedy_word": AttackSpec(
@@ -266,7 +279,6 @@ ATTACKS: dict[str, AttackSpec] = {
         summary="greedy via stale-bound heap; identical picks under submodularity",
         builder=_build_lazy_greedy_word,
         needs=("word",),
-        params=_COMMON,
         delta="yes",
     ),
     "greedy_sentence": AttackSpec(
@@ -277,7 +289,6 @@ ATTACKS: dict[str, AttackSpec] = {
         summary="greedy whole-sentence paraphrasing",
         builder=_build_greedy_sentence,
         needs=("sentence",),
-        params=("sentence_budget_ratio", "tau", "strategy", "use_cache", "cache_max_entries"),
         delta="equal-len",
     ),
     "gradient_guided": AttackSpec(
@@ -288,7 +299,6 @@ ATTACKS: dict[str, AttackSpec] = {
         summary="gradient position preselection + joint candidate product",
         builder=_build_gradient_guided,
         needs=("word",),
-        params=_COMMON + ("words_per_iteration", "selection"),
         delta="yes",
     ),
     "gradient_word": AttackSpec(
@@ -299,7 +309,6 @@ ATTACKS: dict[str, AttackSpec] = {
         summary="closed-form linearized substitution, no candidate scoring",
         builder=_build_gradient_word,
         needs=("word",),
-        params=("word_budget_ratio", "iterations"),
         delta="no",
     ),
     "random_word": AttackSpec(
@@ -310,7 +319,6 @@ ATTACKS: dict[str, AttackSpec] = {
         summary="uniformly random substitutions within the budget",
         builder=_build_random_word,
         needs=("word",),
-        params=("word_budget_ratio", "seed"),
         delta="no",
     ),
     "beam_word": AttackSpec(
@@ -321,7 +329,6 @@ ATTACKS: dict[str, AttackSpec] = {
         summary="width-B beam over substitution sets",
         builder=_build_beam_word,
         needs=("word",),
-        params=_COMMON + ("beam_width",),
         delta="yes",
     ),
     "charflip_greedy": AttackSpec(
@@ -332,7 +339,6 @@ ATTACKS: dict[str, AttackSpec] = {
         summary="greedy over character-edit candidates",
         builder=_build_charflip_greedy,
         needs=(),
-        params=("word_budget_ratio", "tau", "strategy", "use_cache", "cache_max_entries"),
         delta="yes",
     ),
     "joint": AttackSpec(
@@ -343,15 +349,6 @@ ATTACKS: dict[str, AttackSpec] = {
         summary="sentence stage then Alg. 3 word stage, one shared cache",
         builder=_build_joint,
         needs=("word", "sentence"),
-        params=(
-            "word_budget_ratio",
-            "sentence_budget_ratio",
-            "tau",
-            "words_per_iteration",
-            "strategy",
-            "use_cache",
-            "cache_max_entries",
-        ),
         delta="word-stage",
     ),
     "gumbel_word": AttackSpec(
@@ -362,7 +359,6 @@ ATTACKS: dict[str, AttackSpec] = {
         summary="probe forwards fit a position distribution; Gumbel-top-k restricts the scan",
         builder=_build_gumbel_word,
         needs=("word",),
-        params=_COMMON + ("n_probes", "temperature", "keep_ratio", "seed", "max_queries"),
         delta="yes",
     ),
     "pso_word": AttackSpec(
@@ -373,8 +369,6 @@ ATTACKS: dict[str, AttackSpec] = {
         summary="population of substitution sets evolved by pbest/gbest crossover",
         builder=_build_pso_word,
         needs=("word",),
-        params=_COMMON
-        + ("n_particles", "iterations", "inertia", "cognitive", "mutation_rate", "seed", "max_queries"),
         delta="yes",
     ),
     "heuristic_saliency": AttackSpec(
@@ -385,7 +379,6 @@ ATTACKS: dict[str, AttackSpec] = {
         summary="mask-saliency ranking, one substitution pass, no search",
         builder=_build_heuristic_saliency,
         needs=("word",),
-        params=_COMMON + ("candidate_rule", "max_queries"),
         delta="yes",
     ),
     "joint_greedy": AttackSpec(
@@ -396,14 +389,6 @@ ATTACKS: dict[str, AttackSpec] = {
         summary="sentence stage then objective-greedy word stage",
         builder=_build_joint_greedy,
         needs=("word", "sentence"),
-        params=(
-            "word_budget_ratio",
-            "sentence_budget_ratio",
-            "tau",
-            "strategy",
-            "use_cache",
-            "cache_max_entries",
-        ),
         delta="word-stage",
     ),
 }

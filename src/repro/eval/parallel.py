@@ -281,36 +281,6 @@ class ParallelAttackRunner:
         self.on_result = on_result
         self.delta_scoring = delta_scoring
 
-    @classmethod
-    def from_registry(
-        cls,
-        name: str,
-        model,
-        *,
-        word_paraphraser=None,
-        sentence_paraphraser=None,
-        attack_kwargs: dict | None = None,
-        **runner_kwargs,
-    ) -> "ParallelAttackRunner":
-        """Build a runner for a registry attack resolved by name.
-
-        The registry specs and their builders are module-level objects, so
-        the resulting engine (and everything reachable from it) pickles —
-        workers inherit it through ``fork`` without any per-attack shims.
-        ``attack_kwargs`` goes to the attack constructor; everything else to
-        :class:`ParallelAttackRunner`.
-        """
-        from repro.attacks.registry import build_attack
-
-        attack = build_attack(
-            name,
-            model,
-            word_paraphraser=word_paraphraser,
-            sentence_paraphraser=sentence_paraphraser,
-            **(attack_kwargs or {}),
-        )
-        return cls(attack, **runner_kwargs)
-
     # -- execution ----------------------------------------------------------
     def run(
         self,

@@ -361,10 +361,10 @@ class ExperimentContext:
         method: str,
         model: TextClassifier,
         dataset: str,
-        word_budget: float = 0.2,
+        word_budget: float | None = None,
         sentence_budget: float | None = None,
-        strategy: str = "scan",
-        use_cache: bool = True,
+        strategy: str | None = None,
+        use_cache: bool | None = None,
         max_queries: int | None = None,
     ) -> AttackEngine:
         """Attack factory by method name, resolved through the registry.
@@ -375,10 +375,15 @@ class ExperimentContext:
         :data:`repro.attacks.ATTACKS` (``charflip_greedy``, ``beam_word``,
         ...).  Each spec declares which paraphrasers it needs and which
         keywords it takes, so new registry entries work here without new
-        branches.  ``strategy`` selects scan vs CELF lazy greedy where the
-        spec supports it; ``use_cache`` toggles the per-call
-        :class:`ScoreCache`; ``max_queries`` caps model forwards per
-        document (the engine rejects a cap below 1).
+        branches.  ``word_budget`` and ``sentence_budget`` are λ_w and λ_s;
+        ``strategy`` selects scan vs CELF lazy greedy; ``use_cache``
+        toggles the per-call :class:`ScoreCache`; ``max_queries`` caps
+        model forwards per document (the engine rejects a cap below 1).
+
+        ``None`` leaves a setting to the registry default (λ_s to
+        :meth:`sentence_budget`); a setting the attack does not take
+        raises ``TypeError``.  The context's τ and seed go to the attacks
+        that take them.
         """
         name = METHOD_ALIASES.get(method, method)
         try:
@@ -388,16 +393,25 @@ class ExperimentContext:
                 f"unknown attack method {method!r}; choose from "
                 f"{sorted(METHOD_ALIASES)} or {sorted(ATTACKS)}"
             ) from None
-        available = {
-            "word_budget_ratio": word_budget,
-            "sentence_budget_ratio": (
-                sentence_budget if sentence_budget is not None else self.sentence_budget(dataset)
-            ),
+        params = spec.params
+        defaults = {
             "tau": self.settings.tau,
+            "seed": self.settings.seed,
+            "sentence_budget_ratio": self.sentence_budget(dataset),
+        }
+        kwargs = {p: value for p, value in defaults.items() if p in params}
+        given = {
+            "word_budget_ratio": word_budget,
+            "sentence_budget_ratio": sentence_budget,
             "strategy": strategy,
             "use_cache": use_cache,
-            "seed": self.settings.seed,
+            "max_queries": max_queries,
         }
+        given = {p: value for p, value in given.items() if value is not None}
+        refused = [f"{p}={value!r}" for p, value in given.items() if p not in params]
+        if refused:
+            raise TypeError(f"attack {name!r} does not take {', '.join(refused)}")
+        kwargs.update(given)
         attack = build_attack(
             name,
             model,
@@ -407,8 +421,7 @@ class ExperimentContext:
             sentence_paraphraser=(
                 self.sentence_paraphraser(dataset) if "sentence" in spec.needs else None
             ),
-            max_queries=max_queries,
-            **{p: available[p] for p in spec.params if p in available},
+            **kwargs,
         )
         attack.set_profiler(self.profiler)
         return attack

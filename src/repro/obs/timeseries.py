@@ -76,7 +76,10 @@ class TimeSeriesSampler:
         break the run it observes).
     path:
         JSONL file each point is appended to (parents created); ``None``
-        keeps the series in memory only.
+        keeps the series in memory only.  One file holds one sampler's
+        trajectory: a file an earlier sampler left at ``path`` (a rerun,
+        or a run resumed from its journal) is replaced, so ``seq`` rises
+        strictly through it.
     interval_seconds:
         Minimum seconds between points for :meth:`maybe_sample` and the
         background thread; finite and > 0.
@@ -100,6 +103,8 @@ class TimeSeriesSampler:
             raise ValueError(f"interval_seconds must be finite and > 0, got {interval_seconds}")
         self.snapshot_fn = snapshot_fn
         self.path = Path(path) if path is not None else None
+        if self.path is not None:
+            self.path.unlink(missing_ok=True)
         self.interval_seconds = float(interval_seconds)
         self.source = source
         self.n_errors = 0

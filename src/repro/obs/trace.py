@@ -257,10 +257,16 @@ def validate_run_dir(run_dir: str | Path) -> int:
     )
 
     for path in iter_series_files(run_dir):
+        seq = 0
         for lineno, point in enumerate(read_series(path), start=1):
             try:
                 validate_series_line(point)
+                # one file, one trajectory: a restart would read as time
+                # running backwards
+                if point["seq"] <= seq:
+                    raise TraceSchemaError(f"series seq {point['seq']} after {seq}")
             except TraceSchemaError as exc:
                 raise TraceSchemaError(f"{path}:{lineno}: {exc}") from None
+            seq = point["seq"]
             checked += 1
     return checked

@@ -78,12 +78,6 @@ class NGramLM:
         self._logp_cache.clear()
         return self
 
-    def _order_prob(self, k: int, context: tuple[str, ...], token: str) -> float:
-        """Lidstone-smoothed P(token | context) at order k+1."""
-        num = self._counts[k][context + (token,)] + self.alpha
-        den = self._contexts[k][context] + self.alpha * self.vocab_size
-        return num / den
-
     def token_log_prob(self, context: Sequence[str], token: str) -> float:
         """Interpolated ``ln P(token | context)`` (natural log)."""
         self._require_fitted()

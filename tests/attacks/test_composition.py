@@ -5,6 +5,7 @@ strategy)`` composition away, specs pickle for the fork pool, and the
 engine's query budget applies to any combination uniformly.
 """
 
+import inspect
 import pickle
 
 import pytest
@@ -181,6 +182,19 @@ class TestRegistryCompositions:
         assert (engine.use_cache, engine.cache_max_entries, engine.max_queries) == (False, 7, 5)
 
 
+class TestSpecParams:
+    @pytest.mark.parametrize("name", sorted(ATTACKS))
+    def test_every_builder_keyword_is_listed(self, name):
+        spec = ATTACKS[name]
+        kinds: dict = {}
+        for p in inspect.signature(spec.builder).parameters.values():
+            kinds.setdefault(p.kind, []).append(p.name)
+        # the only keywords a signature cannot show are the engine's
+        assert kinds[inspect.Parameter.VAR_KEYWORD] == ["engine"]
+        own = kinds[inspect.Parameter.KEYWORD_ONLY]
+        assert spec.params == (*own, "use_cache", "cache_max_entries", "max_queries")
+
+
 class TestSpecPickling:
     @pytest.mark.parametrize("name", sorted(ATTACKS))
     def test_spec_roundtrips(self, name):
@@ -210,14 +224,8 @@ class TestRunnerFromRegistry:
     def test_serial(self, victim, word_paraphraser, attackable_docs):
         docs = [doc for doc, _ in attackable_docs[:3]]
         targets = [t for _, t in attackable_docs[:3]]
-        runner = ParallelAttackRunner.from_registry(
-            "greedy_word",
-            victim,
-            word_paraphraser=word_paraphraser,
-            n_workers=1,
-            base_seed=5,
-        )
-        outcomes = runner.run(docs, targets)
+        attack = build_attack("greedy_word", victim, word_paraphraser=word_paraphraser)
+        outcomes = ParallelAttackRunner(attack, n_workers=1, base_seed=5).run(docs, targets)
         assert len(outcomes) == 3
         assert all(isinstance(o, AttackResult) for o in outcomes)
 
@@ -227,17 +235,12 @@ class TestRunnerFromRegistry:
         targets = [t for _, t in attackable_docs[:4]]
 
         def run(n_workers):
-            runner = ParallelAttackRunner.from_registry(
-                "charflip_greedy",
-                victim,
-                attack_kwargs={"word_budget_ratio": 0.3},
-                n_workers=n_workers,
-                base_seed=5,
-            )
+            attack = build_attack("charflip_greedy", victim, word_budget_ratio=0.3)
+            runner = ParallelAttackRunner(attack, n_workers=n_workers, base_seed=5)
             return [_comparable(o) for o in runner.run(docs, targets)]
 
         assert run(1) == run(2)
 
     def test_unknown_name_raises(self, victim):
         with pytest.raises(KeyError):
-            ParallelAttackRunner.from_registry("hypnosis", victim)
+            build_attack("hypnosis", victim)

@@ -130,10 +130,8 @@ class TestNewRegistryEntries:
     def test_serial_run(self, name, victim, word_paraphraser, attackable_docs):
         docs = [doc for doc, _ in attackable_docs[:3]]
         targets = [t for _, t in attackable_docs[:3]]
-        runner = ParallelAttackRunner.from_registry(
-            name, victim, word_paraphraser=word_paraphraser, n_workers=1, base_seed=5
-        )
-        outcomes = runner.run(docs, targets)
+        attack = build_attack(name, victim, word_paraphraser=word_paraphraser)
+        outcomes = ParallelAttackRunner(attack, n_workers=1, base_seed=5).run(docs, targets)
         assert len(outcomes) == 3
         assert all(isinstance(o, AttackResult) for o in outcomes)
 
@@ -144,13 +142,8 @@ class TestNewRegistryEntries:
         targets = [t for _, t in attackable_docs[:4]]
 
         def run(n_workers):
-            runner = ParallelAttackRunner.from_registry(
-                name,
-                victim,
-                word_paraphraser=word_paraphraser,
-                n_workers=n_workers,
-                base_seed=5,
-            )
+            attack = build_attack(name, victim, word_paraphraser=word_paraphraser)
+            runner = ParallelAttackRunner(attack, n_workers=n_workers, base_seed=5)
             return [_comparable(o) for o in runner.run(docs, targets)]
 
         assert run(1) == run(2)

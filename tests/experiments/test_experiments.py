@@ -126,6 +126,17 @@ class TestContext:
         for method in ("joint", "gradient-guided", "objective-greedy", "gradient", "random"):
             assert ctx.make_attack(method, model, "yelp") is not None
 
+    def test_make_attack_honours_or_refuses_each_setting(self, ctx):
+        # a setting the caller gives is passed on or refused, never dropped
+        model = ctx.model("yelp", "wcnn")
+        for method in ("random", "gradient"):
+            assert ctx.make_attack(method, model, "yelp", use_cache=False).use_cache is False
+        with pytest.raises(TypeError, match=r"'gradient_guided' does not take strategy='lazy'"):
+            ctx.make_attack("gradient-guided", model, "yelp", strategy="lazy")
+        # unset settings keep the registry defaults
+        attack = ctx.make_attack("gradient-guided", model, "yelp")
+        assert attack.use_cache is True and attack.max_queries is None
+
     def test_every_alias_resolves(self, ctx):
         # the registry and the alias table live in different modules and
         # have drifted before; every alias must name a registry entry and

@@ -51,6 +51,13 @@ class TestFrontierRun:
         for curve in series.values():
             assert [b for b, _ in curve] == [5, 30]
 
+    def test_success_non_decreasing_in_budget(self, points):
+        # a larger cap only extends a deterministic trajectory, so a
+        # document that flipped under the smaller cap still flips
+        for name, curve in frontier.curves(points).items():
+            rates = [rate for _, rate in curve]
+            assert rates == sorted(rates), (name, curve)
+
     def test_render_table(self, points):
         text = frontier.render(points)
         assert "max_queries" in text

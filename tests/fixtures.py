@@ -1,4 +1,8 @@
-"""Shared attack-test fixtures: a small trained WCNN victim + paraphrasers."""
+"""Shared attack-test fixtures: a small trained WCNN victim + paraphrasers,
+and scrape helpers for a live telemetry exporter."""
+
+import json
+import urllib.request
 
 import pytest
 
@@ -71,3 +75,29 @@ def attackable_docs(victim, atk_corpus):
         for i in range(len(docs))
         if preds[i] == labels[i]
     ][:12]
+
+
+# -- scraping a live TelemetryServer ---------------------------------------------
+
+
+def prometheus_name(counter: str) -> str:
+    """The ``/metrics`` sample name of a registry counter."""
+    return "repro_" + counter.replace("/", "_") + "_total"
+
+
+def _get(server, path: str) -> str:
+    return urllib.request.urlopen(server.url + path, timeout=5).read().decode()
+
+
+def scrape_metrics(server) -> dict[str, float]:
+    """``/metrics`` as {sample name: value}."""
+    return {
+        line.split()[0]: float(line.split()[1])
+        for line in _get(server, "/metrics").splitlines()
+        if line and not line.startswith("#")
+    }
+
+
+def scrape_health(server) -> dict:
+    """``/healthz`` as a dict."""
+    return json.loads(_get(server, "/healthz"))

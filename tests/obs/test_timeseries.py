@@ -172,6 +172,20 @@ class TestReaders:
         with pytest.raises(TraceSchemaError, match="series.jsonl:4"):
             validate_run_dir(tmp_path)
 
+    def test_validate_run_dir_rejects_a_restarted_series(self, tmp_path):
+        path = self._write_points(tmp_path)
+        first = path.read_text().splitlines()[0]
+        with open(path, "a") as fh:
+            fh.write(first + "\n")  # seq 1, 2, 3, 1
+        with pytest.raises(TraceSchemaError, match="series.jsonl:4: series seq 1 after 3"):
+            validate_run_dir(tmp_path)
+
+    def test_a_new_sampler_replaces_the_file(self, tmp_path):
+        # a rerun or a resumed run writes its own trajectory, not a second one
+        path = self._write_points(tmp_path)
+        self._write_points(tmp_path, n=2)
+        assert [p["seq"] for p in read_series(path)] == [1, 2]
+
 
 class TestValidateSeriesLine:
     def _point(self, **overrides):
