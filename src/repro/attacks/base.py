@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.attacks.cache import ScoreCache, score_key
 from repro.models.base import TextClassifier
+from repro.nn.delta import DeltaScoreFn
 
 __all__ = ["AttackResult", "AttackFailure", "Attack", "count_word_changes", "reseed_object"]
 
@@ -185,10 +186,12 @@ class Attack:
     - ``profiler`` — a :class:`~repro.obs.spans.PhaseProfiler` whose
       spans time the forward / candidate-gen / greedy-select phases.
 
-    ``score_fn`` (a *ScoreBatchFn*, ``docs -> (n, C) probabilities``)
-    reroutes the scoring forwards of :meth:`_score_batch` — e.g. to the
-    incremental :class:`~repro.nn.delta.DeltaScoreFn` — while gradients
-    and the final verdict forward stay on the local model.
+    ``delta_scoring`` routes the scoring forwards of :meth:`_score_batch`
+    through the attack's :class:`~repro.nn.delta.DeltaScoreFn`, which
+    scores single-edit candidates incrementally, when the victim's family
+    has a delta kernel; gradients and the final verdict forward stay on
+    the model.  :func:`~repro.eval.metrics.evaluate_attack` sets it for
+    the length of a run.
     """
 
     name = "attack"
@@ -198,7 +201,8 @@ class Attack:
     tracer = None
     profiler = None
     _trace = None
-    score_fn = None
+    delta_scoring = False
+    _delta = None
 
     def __init__(
         self,
@@ -216,7 +220,7 @@ class Attack:
         self.tracer = None
         self.profiler = None
         self._trace = None
-        self.score_fn = None
+        self._delta = DeltaScoreFn.for_model(model)
 
     def reseed(self, seed: int) -> None:
         """Reset every RNG stream this attack owns to a function of ``seed``.
@@ -236,10 +240,6 @@ class Attack:
     def set_profiler(self, profiler) -> None:
         """Attach (or with ``None`` detach) a phase profiler."""
         self.profiler = profiler
-
-    def set_score_fn(self, score_fn) -> None:
-        """Attach (or with ``None`` detach) a scoring-forward override."""
-        self.score_fn = score_fn
 
     def _span(self, name: str):
         """Profiler span context, or a no-op when no profiler is attached."""
@@ -268,27 +268,17 @@ class Attack:
     # -- model access with query accounting --------------------------------
     def _predict_proba(
         self, docs: list[list[str]], base: list[str] | None = None
-    ) -> np.ndarray:
-        """Scoring forward: the attached ``score_fn``, else the local model.
+    ) -> tuple[np.ndarray, dict]:
+        """Scoring forward, plus the extra fields of its ``forward`` trace event.
 
-        ``base`` is the incumbent document the candidates are single-edit
-        variants of; it is forwarded only to score functions advertising
-        ``accepts_base`` (the delta scorer), which uses it to score candidates incrementally.  Plain score
-        functions and the local model ignore it.
+        The delta scorer serves it while ``delta_scoring`` is on, scoring
+        single-edit variants of ``base`` incrementally; else the model does.
         """
-        fn = self.score_fn
-        if fn is not None:
-            if base is not None and getattr(fn, "accepts_base", False):
-                return fn(docs, base=base)
-            return fn(docs)
-        return self.model.predict_proba(docs)
-
-    def _delta_trace_fields(self) -> dict:
-        """Extra ``forward``-event fields from a delta-aware score function."""
-        pop = getattr(self.score_fn, "pop_stats", None)
-        if pop is None:
-            return {}
-        return pop() or {}
+        delta = self._delta if self.delta_scoring else None
+        if delta is None:
+            return self.model.predict_proba(docs), {}
+        probs = delta(docs, base=base)
+        return probs, delta.pop_stats() or {}
 
     def _score_batch(
         self,
@@ -309,14 +299,14 @@ class Attack:
         if cache is None:
             self._queries += len(docs)
             with self._span("forward"):
-                probs = self._predict_proba(docs, base=base)
+                probs, delta_fields = self._predict_proba(docs, base=base)
             self._trace_event(
                 "forward",
                 op="score",
                 n_docs=len(docs),
                 n_forwards=len(docs),
                 n_cache_hits=0,
-                **self._delta_trace_fields(),
+                **delta_fields,
             )
             return probs[:, target_label].tolist()
         # order-preserving dedup of the request, then forward only misses
@@ -334,8 +324,9 @@ class Attack:
         delta_fields: dict = {}
         if missing:
             with self._span("forward"):
-                probs = self._predict_proba([unique[key] for key in missing], base=base)
-            delta_fields = self._delta_trace_fields()
+                probs, delta_fields = self._predict_proba(
+                    [unique[key] for key in missing], base=base
+                )
             self._queries += len(missing)
             for key, p in zip(missing, probs[:, target_label].tolist()):
                 cache.put(key, p)
@@ -396,6 +387,8 @@ class Attack:
                 if self._cache is not None:
                     self._cache_evictions = self._cache.evictions
                 self._cache = None  # scores are only valid within one call
+                if self._delta is not None:
+                    self._delta.reset()  # and so are delta base states
             # Success is judged with deterministic inference: if the victim
             # uses Bayesian (inference-time) dropout during the *search* — the
             # paper's WCNN setting (Sec. 6.4) — the verdict must not depend on

@@ -5,10 +5,11 @@ a :class:`~repro.attacks.proposals.CandidateSource` (what can change), a
 :class:`~repro.attacks.search.SearchStrategy` (how to search), and this
 engine owning everything they share — the scoring choke point
 (:meth:`Attack._score_batch`: batching, order-preserving dedup, the
-per-call :class:`~repro.attacks.cache.ScoreCache`), the query budget, the
-``n_queries`` / ``n_cache_hits`` accounting, and the TraceRecorder /
-PhaseProfiler instrumentation (the victim itself counts its forwards into
-its ``metrics`` registry).  Strategies and sources
+per-call :class:`~repro.attacks.cache.ScoreCache` and, with
+``delta_scoring`` on, the incremental :class:`~repro.nn.delta.DeltaScoreFn`),
+the query budget, the ``n_queries`` / ``n_cache_hits`` accounting, and the
+TraceRecorder / PhaseProfiler instrumentation (the victim itself counts its
+forwards into its ``metrics`` registry).  Strategies and sources
 never touch the victim directly; they call the helpers below, so every
 combination — including ones the registry does not name, like
 char-flip × beam — gets caching, tracing and reconciliation
@@ -62,7 +63,6 @@ class AttackEngine(Attack):
         use_cache: bool = True,
         cache_max_entries: int | None = None,
         max_queries: int | None = None,
-        score_fn=None,
     ) -> None:
         super().__init__(model, use_cache=use_cache, cache_max_entries=cache_max_entries)
         if max_queries is not None and max_queries < 1:
@@ -70,8 +70,6 @@ class AttackEngine(Attack):
         self.source = source
         self.search = search
         self.max_queries = max_queries
-        if score_fn is not None:
-            self.score_fn = score_fn
         if name is not None:
             self.name = name
 
@@ -116,8 +114,9 @@ class AttackEngine(Attack):
         """``C_y`` for a batch — deduped, cached, counted, traced.
 
         Search strategies pass ``base`` (the incumbent the candidates are
-        edits of) so a delta-aware score function can evaluate single-edit
-        candidates incrementally instead of with full forwards.
+        edits of) so that, with ``delta_scoring`` on, the delta scorer can
+        evaluate single-edit candidates incrementally instead of with full
+        forwards.
         """
         return self._score_batch(docs, target_label, base=base)
 

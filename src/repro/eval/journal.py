@@ -18,8 +18,8 @@ makes runs durable:
   uninterrupted run would have produced (floats survive the JSON
   round-trip bitwise because ``json`` serializes via ``repr``);
 - a **header line** fingerprints the run configuration (seed, corpus,
-  attack name), so a journal is never silently resumed against a
-  different corpus, subsample, or attack —
+  attack name, delta scoring), so a journal is never silently resumed
+  against a different corpus, subsample, attack or scoring mode —
   :class:`JournalMismatchError` is raised instead;
 - a **truncated final line** (the signature of a crash mid-append) is
   tolerated and dropped; corruption anywhere else raises
@@ -56,6 +56,10 @@ __all__ = [
 ]
 
 JOURNAL_VERSION = 1
+
+#: header keys added after version 1, with the value a journal that lacks
+#: one was written under
+_HEADER_DEFAULTS = {"delta_scoring": False}
 
 
 class JournalError(RuntimeError):
@@ -193,7 +197,7 @@ class RunJournal:
     def _check_header(self, expected: dict) -> None:
         assert self.header is not None
         for key, value in expected.items():
-            recorded = self.header.get(key)
+            recorded = self.header.get(key, _HEADER_DEFAULTS.get(key))
             if recorded != value:
                 raise JournalMismatchError(
                     f"{self.path}: journal was written for {key}={recorded!r}, "

@@ -152,10 +152,13 @@ def evaluate_attack(
     and ``metrics.json`` into that directory; ``trace_every_n`` samples
     the traces (every n-th document).
 
-    ``delta_scoring`` scores single-edit candidates incrementally
+    ``delta_scoring`` sets ``attack.delta_scoring`` for the run and
+    restores it afterwards, as ``trace_dir`` does ``attack.tracer``: the
+    attack then scores single-edit candidates incrementally
     (:mod:`repro.nn.delta`).  Its results are deterministic at any worker
     count but not bitwise equal to full forwards: candidates whose scores
-    tie to within a few ULPs can resolve differently.
+    tie to within a few ULPs can resolve differently.  A journal records
+    the setting, and a resume under the other one is refused.
 
     ``telemetry`` attaches a caller-owned (typically
     :class:`~repro.experiments.common.ExperimentContext`-owned)
@@ -206,6 +209,7 @@ def evaluate_attack(
                 "seed": seed,
                 "attack": attack.name,
                 "n_examples": len(examples),
+                "delta_scoring": config.delta_scoring,
                 "corpus_sha1": corpus_fingerprint(
                     [doc for _, doc, _ in attacked], [t for _, _, t in attacked]
                 ),
@@ -280,9 +284,10 @@ def evaluate_attack(
         monitor.update(outcome)
 
     fresh: dict[int, AttackResult | AttackFailure] = {}
-    prior_tracer = attack.tracer
+    prior_tracer, prior_delta = attack.tracer, attack.delta_scoring
     if trace_dir is not None:
         attack.tracer = TraceRecorder(trace_dir, trace_every_n=config.trace_every_n)
+    attack.delta_scoring = config.delta_scoring
     try:
         if todo:
             if sampler is not None and config.n_workers > 1:
@@ -294,7 +299,6 @@ def evaluate_attack(
                 n_workers=config.n_workers,
                 base_seed=seed,
                 on_result=on_result,
-                delta_scoring=config.delta_scoring,
             )
             outcomes = runner.run(
                 [doc for _, _, doc, _ in todo],
@@ -303,7 +307,7 @@ def evaluate_attack(
             )
             fresh = {i: outcome for (_, i, _, _), outcome in zip(todo, outcomes)}
     finally:
-        attack.tracer = prior_tracer
+        attack.tracer, attack.delta_scoring = prior_tracer, prior_delta
         if sampler is not None:
             sampler.stop()
     monitor.finish()

@@ -48,16 +48,11 @@ processes:
   runner degrades to an in-process loop with the same reseeding and error
   isolation, so results never depend on the platform.
 
-- **incremental delta scoring** — with ``delta_scoring=True`` each
-  worker scores single-edit candidates incrementally
-  (:mod:`repro.nn.delta`): recurrent victims re-run only the suffix after
-  the edit from a cached prefix state, the WCNN recomputes only the conv
-  windows overlapping the edit.  Delta-scored runs are deterministic at
-  any worker count.
-
-The runner takes plain values: one worker (serial) and full forwards
-unless told otherwise.  ``REPRO_NUM_WORKERS`` and ``REPRO_DELTA_SCORING``
-are resolved once, by :mod:`repro.eval.config` at the entry points.
+Workers run the attack as the parent configured it, its
+``delta_scoring`` flag included (:mod:`repro.nn.delta`): they inherit it
+through fork.  The runner takes plain values: one worker (serial) unless
+told otherwise.  ``REPRO_NUM_WORKERS`` is resolved once, by
+:mod:`repro.eval.config` at the entry points.
 """
 
 from __future__ import annotations
@@ -72,7 +67,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from repro.attacks.base import Attack, AttackFailure, AttackResult
-from repro.nn.delta import DeltaScoreFn
 from repro.obs.registry import MetricsRegistry
 
 __all__ = [
@@ -153,19 +147,14 @@ def _attack_one(
 
 # Worker-side state, populated by the pool initializer.  With the fork
 # start method the initializer arguments are inherited through os.fork,
-# never pickled, so the attack (and the model weights hanging off it)
-# stay shared copy-on-write.
+# never pickled, so the attack (its delta_scoring flag and the model
+# weights hanging off it) stays shared copy-on-write.
 _WORKER: dict = {}
 
 
-def _init_worker(
-    attack: Attack, base_seed: int, track_metrics: bool, delta_scoring: bool = False
-) -> None:
+def _init_worker(attack: Attack, base_seed: int, track_metrics: bool) -> None:
     _WORKER["attack"] = attack
     _WORKER["base_seed"] = base_seed
-    # for_model returns None when the model has no delta kernel, which
-    # set_score_fn treats as the legacy in-process path
-    attack.set_score_fn(DeltaScoreFn.for_model(attack.model) if delta_scoring else None)
     # a fresh registry, or none: the fork-copied parent registry is never
     # read again, so an untracked worker must not pay for recording into it
     registry = MetricsRegistry() if track_metrics else None
@@ -252,11 +241,6 @@ class ParallelAttackRunner:
         each document's :class:`AttackResult`/:class:`AttackFailure`
         lands (completion order, not input order).  Used for journaling
         and heartbeats; exceptions it raises abort the run.
-    delta_scoring:
-        Scores single-edit candidates incrementally (:mod:`repro.nn.delta`)
-        by installing a :class:`~repro.nn.delta.DeltaScoreFn` per worker;
-        :mod:`repro.nn.delta` documents how its results relate to full
-        forwards.
     """
 
     def __init__(
@@ -268,7 +252,6 @@ class ParallelAttackRunner:
         metrics: MetricsRegistry | None = None,
         fault_policy: RunnerFaultPolicy | None = None,
         on_result: Callable[[int, AttackResult | AttackFailure], None] | None = None,
-        delta_scoring: bool = False,
     ) -> None:
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
@@ -279,7 +262,6 @@ class ParallelAttackRunner:
         self.metrics = metrics if metrics is not None else getattr(attack.model, "metrics", None)
         self.fault_policy = fault_policy or RunnerFaultPolicy()
         self.on_result = on_result
-        self.delta_scoring = delta_scoring
 
     # -- execution ----------------------------------------------------------
     def run(
@@ -334,16 +316,10 @@ class ParallelAttackRunner:
         records straight into its attached registry."""
         if outcomes is None:
             outcomes = {}
-        attack = self.attack
-        if self.delta_scoring:
-            attack.set_score_fn(DeltaScoreFn.for_model(attack.model))
-        try:
-            for idx, doc, target in items:
-                outcome = _attack_one(attack, idx, doc, target, self.base_seed)
-                outcomes[idx] = outcome
-                self._emit(idx, outcome)
-        finally:
-            attack.set_score_fn(None)
+        for idx, doc, target in items:
+            outcome = _attack_one(self.attack, idx, doc, target, self.base_seed)
+            outcomes[idx] = outcome
+            self._emit(idx, outcome)
         return outcomes
 
     def _chunks(
@@ -415,7 +391,7 @@ class ParallelAttackRunner:
             max_workers=n_workers,
             mp_context=ctx,
             initializer=_init_worker,
-            initargs=(self.attack, self.base_seed, track_metrics, self.delta_scoring),
+            initargs=(self.attack, self.base_seed, track_metrics),
         )
         try:
             futures = {}

@@ -58,8 +58,9 @@ query-accounting contract, so the obs reconciliation invariant
 (sum of traced ``forward.n_forwards`` == ``attack_end.n_queries``) is
 unchanged.  Costs are tracked in model-family FLOP-equivalent units
 (recurrent timesteps, conv windows) so the benchmark can report an honest
-``delta_forward_reduction`` = reference-units / units-actually-spent,
-including state-build and padding overhead.
+forward reduction, ``reference_units`` over the units actually spent
+(``delta_units + full_units + state_build_units``), which includes
+state-build and padding overhead.
 
 Layering: like :mod:`repro.nn.inference`, this module depends only on
 NumPy.  Model modules register their kernels
@@ -93,9 +94,13 @@ __all__ = [
     "ConvDeltaKernel",
     "RecurrentDeltaKernel",
     "DeltaScoreFn",
+    "RESIDENT_STATES",
 ]
 
 _DELTA_REGISTRY: dict[type, "object"] = {}
+
+#: base states a :class:`DeltaScoreFn` keeps resident; the oldest is evicted
+RESIDENT_STATES = 8
 
 
 def register_delta_kernel(model_cls: type, kernel: object) -> None:
@@ -202,7 +207,10 @@ class ConvDeltaKernel:
         pad_len = model.padded_length(min(n_tokens, model.max_len))
         return float(max(1, pad_len - model.conv.kernel_size + 1))
 
-    def build(self, model: object, ids: np.ndarray, mask: np.ndarray) -> DeltaState:
+    def build(
+        self, model: object, ids: np.ndarray, mask: np.ndarray, resident: Iterable[DeltaState] = ()
+    ) -> DeltaState:
+        """Base state of ``ids``; ``resident`` states are ignored (windows are local)."""
         conv = model.conv
         k = conv.kernel_size
         operand = stable_matmul_operand(conv.weight.data)
@@ -367,36 +375,36 @@ class RecurrentDeltaKernel:
 
 
 class DeltaScoreFn:
-    """Engine score function dispatching candidates to delta kernels.
+    """An attack's scorer: dispatches candidates to the victim's delta kernel.
 
-    Installed via ``Attack.set_score_fn``; the engine's ``_score_batch``
-    choke point calls it with ``base=`` the incumbent document whenever
-    the search strategy scores single-edit proposals.  Calls without a
-    base (original-document scoring, staged incumbents) and candidates
-    that are not delta-eligible go through the untouched legacy
-    ``model.predict_proba`` path — see the module docstring's parity
+    Each attack builds one for a victim that has a kernel (:meth:`for_model`)
+    and, while its ``delta_scoring`` is on, calls it for every scoring
+    forward of its ``_score_batch`` choke point, with ``base=`` the
+    incumbent document whenever the search strategy scores single-edit
+    proposals.  Calls without a base (original-document
+    scoring, staged incumbents) and candidates that are not delta-eligible
+    go through ``model.predict_proba`` — see the module docstring's parity
     argument.
 
     Base states live in a small LRU keyed by the (truncated) base token
     tuple: greedy search re-scores against one incumbent per iteration,
-    beam search against up to ``beam_width`` origins, so a handful of
-    resident states suffices.
+    beam search against up to ``beam_width`` origins, so
+    :data:`RESIDENT_STATES` resident states suffice.  The attack empties
+    it after every ``attack()`` call (:meth:`reset`), so a document's work
+    does not depend on which documents the same process attacked before.
     """
 
-    #: the engine passes ``base=`` only to score functions advertising this
-    accepts_base = True
-
-    def __init__(self, model: object, max_states: int = 8) -> None:
+    def __init__(self, model: object) -> None:
         self.model = model
-        self.max_states = max_states
+        self.kernel = delta_kernel_for(model)
         self._states: OrderedDict[tuple, DeltaState] = OrderedDict()
         self.stats: dict[str, float] = {
             "delta_candidates": 0.0,  # candidates scored incrementally
             "base_hits": 0.0,  # candidates identical to a cached base
-            "full_forwards": 0.0,  # candidates through the legacy full path
+            "full_forwards": 0.0,  # candidates through model.predict_proba
             "delta_units": 0.0,  # units spent in kernel.score (incl. padding)
             "delta_units_full": 0.0,  # what delta-scored candidates would cost full
-            "full_units": 0.0,  # units spent on legacy-path candidates
+            "full_units": 0.0,  # units spent on full-forward candidates
             "state_builds": 0.0,
             "state_build_units": 0.0,
             "reference_units": 0.0,  # what EVERYTHING scored here would cost full
@@ -404,27 +412,22 @@ class DeltaScoreFn:
         self._last: dict | None = None
 
     @classmethod
-    def for_model(cls, model: object, max_states: int = 8) -> "DeltaScoreFn | None":
+    def for_model(cls, model: object) -> "DeltaScoreFn | None":
         """A DeltaScoreFn when ``model`` has a usable kernel, else None."""
         kernel = delta_kernel_for(model)
         if kernel is None or not kernel.supports(model):
             return None
-        return cls(model, max_states=max_states)
+        return cls(model)
+
+    def reset(self) -> None:
+        """Drop every resident base state."""
+        self._states.clear()
 
     # -- obs hooks ----------------------------------------------------------
     def pop_stats(self) -> dict | None:
         """Per-``_score_batch`` delta fields for the traced forward event."""
         last, self._last = self._last, None
         return last
-
-    def forward_reduction(self) -> float:
-        """Reference units / units actually spent (>= 1 when delta helps)."""
-        spent = (
-            self.stats["delta_units"]
-            + self.stats["full_units"]
-            + self.stats["state_build_units"]
-        )
-        return self.stats["reference_units"] / max(spent, 1e-12)
 
     # -- scoring ------------------------------------------------------------
     def _deterministic(self) -> bool:
@@ -441,16 +444,16 @@ class DeltaScoreFn:
             # "delta/candidates" / "delta/state_builds"
             metrics.inc("delta/" + name.removeprefix("delta_"), amount)
 
-    def _full(self, docs: list, kernel: object | None) -> np.ndarray:
+    def _full(self, docs: list, count_units: bool) -> np.ndarray:
         probs = self.model.predict_proba(docs)
         self._record("full_forwards", len(docs))
-        if kernel is not None:
-            units = sum(kernel.full_units(self.model, len(d)) for d in docs)
+        if count_units:
+            units = sum(self.kernel.full_units(self.model, len(d)) for d in docs)
             self._record("full_units", units)
             self._record("reference_units", units)
         return probs
 
-    def _state_for(self, kernel: object, base: list, n_cap: int) -> DeltaState:
+    def _state_for(self, base: list, n_cap: int) -> DeltaState:
         key = tuple(base[:n_cap])
         state = self._states.get(key)
         if state is not None:
@@ -460,15 +463,12 @@ class DeltaScoreFn:
         pad_len = model.padded_length(n_cap)
         ids, mask = model.vocab.encode_batch([base], pad_len)
         tic = time.perf_counter()
-        if isinstance(kernel, RecurrentDeltaKernel):
-            state = kernel.build(model, ids, mask, self._states.values())
-        else:
-            state = kernel.build(model, ids, mask)
+        state = self.kernel.build(model, ids, mask, self._states.values())
         model.record_forward(1, pad_len, time.perf_counter() - tic)
         self._record("state_builds")
         self._record("state_build_units", state.build_units)
         self._states[key] = state
-        while len(self._states) > self.max_states:
+        if len(self._states) > RESIDENT_STATES:
             self._states.popitem(last=False)
         return state
 
@@ -476,12 +476,10 @@ class DeltaScoreFn:
         model = self.model
         if not len(docs):
             return np.zeros((0, model.num_classes))
-        kernel = delta_kernel_for(model)
-        if kernel is not None and not kernel.supports(model):
-            kernel = None
-        if base is None or kernel is None or not self._deterministic():
+        deterministic = self._deterministic()
+        if base is None or not deterministic:
             self._last = None
-            return self._full(list(docs), kernel if self._deterministic() else None)
+            return self._full(list(docs), deterministic)
         base = list(base)
         n_cap = min(len(base), model.max_len)
         spans: list[tuple[int, int]] = []
@@ -503,7 +501,7 @@ class DeltaScoreFn:
         out = np.empty((len(docs), model.num_classes))
         last: dict | None = None
         if delta_idx or base_idx:
-            state = self._state_for(kernel, base, n_cap)
+            state = self._state_for(base, n_cap)
             if base_idx:
                 out[base_idx] = state.probs
                 self._record("base_hits", len(base_idx))
@@ -512,7 +510,7 @@ class DeltaScoreFn:
                 cand_docs = [list(docs[i]) for i in delta_idx]
                 tic = time.perf_counter()
                 ids, _ = model.vocab.encode_batch(cand_docs, state.pad_len)
-                probs, units = kernel.score(model, state, ids, spans)
+                probs, units = self.kernel.score(model, state, ids, spans)
                 model.record_forward(len(delta_idx), state.pad_len, time.perf_counter() - tic)
                 out[delta_idx] = probs
                 units_full = len(delta_idx) * state.unit_cost_full
@@ -526,6 +524,6 @@ class DeltaScoreFn:
                     "delta_units_full": units_full,
                 }
         if full_idx:
-            out[full_idx] = self._full([list(docs[i]) for i in full_idx], kernel)
+            out[full_idx] = self._full([list(docs[i]) for i in full_idx], True)
         self._last = last
         return out

@@ -64,7 +64,6 @@ _DIRECTION_PATTERNS: tuple[tuple[str, str], ...] = (
     ("seconds", "lower"),
     ("wall_time", "lower"),
     ("_time", "lower"),
-    ("queue_depth", "lower"),
     ("docs_per_second", "higher"),
     ("per_second", "higher"),
     ("speedup", "higher"),

@@ -393,7 +393,6 @@ DASHBOARD_ROWS: dict[str, list[tuple[str, str, Callable[[dict], float | None]]]]
                 else None
             ),
         ),
-        ("phase attack s/s", "", _rate("phase/attack_seconds")),
     ],
 }
 

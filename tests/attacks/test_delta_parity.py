@@ -24,7 +24,6 @@ from repro.eval.metrics import evaluate_attack
 from repro.eval.parallel import ParallelAttackRunner, fork_available
 from repro.experiments.common import ExperimentContext
 from repro.models import GRUClassifier, LSTMClassifier
-from repro.nn.delta import DeltaScoreFn
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import iter_trace_files, read_trace, validate_run_dir
 from repro.text import Vocabulary
@@ -64,10 +63,9 @@ def _run_case(
         sentence_paraphraser=sentence_paraphraser,
         **GOLDEN_CASES[name],
     )
+    attack.delta_scoring = delta_scoring
     docs, targets = golden_docs(attackable_docs)
-    runner = ParallelAttackRunner(
-        attack, n_workers=n_workers, base_seed=BASE_SEED, delta_scoring=delta_scoring
-    )
+    runner = ParallelAttackRunner(attack, n_workers=n_workers, base_seed=BASE_SEED)
     return [normalize(r.to_dict()) for r in runner.run(docs, targets)]
 
 
@@ -103,19 +101,19 @@ def test_delta_actually_engages_on_golden_run(
 ):
     """Guard against a silently-disabled delta path making parity vacuous."""
     attack = build_attack("greedy_word", victim, word_paraphraser=word_paraphraser)
+    attack.delta_scoring = True
     docs, targets = golden_docs(attackable_docs)
-    fn = DeltaScoreFn.for_model(victim)
+    fn = attack._delta
     assert fn is not None
-    attack.set_score_fn(fn)
-    try:
-        for i, (doc, target) in enumerate(zip(docs, targets)):
-            attack.reseed(BASE_SEED + i)
-            attack.attack(doc, target)
-    finally:
-        attack.set_score_fn(None)
-    assert fn.stats["delta_candidates"] > 0
-    assert fn.stats["delta_units"] < fn.stats["delta_units_full"]
-    assert fn.forward_reduction() >= 2.0
+    for i, (doc, target) in enumerate(zip(docs, targets)):
+        attack.reseed(BASE_SEED + i)
+        attack.attack(doc, target)
+        assert not fn._states  # base states live for one attack() call
+    stats = fn.stats
+    assert stats["delta_candidates"] > 0
+    assert stats["delta_units"] < stats["delta_units_full"]
+    spent = stats["delta_units"] + stats["full_units"] + stats["state_build_units"]
+    assert stats["reference_units"] / spent >= 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +139,13 @@ class TestEnvResolution:
     def test_runner_resolves_delta_flag(
         self, victim, word_paraphraser, attackable_docs, monkeypatch, tmp_path
     ):
-        """evaluate_attack hands the runner explicit flag > env > off."""
+        """The attack the runner runs carries explicit flag > env > off."""
         seen = []
 
         class Recording(ParallelAttackRunner):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                seen.append(self.delta_scoring)
+            def run(self, *args, **kwargs):
+                seen.append(self.attack.delta_scoring)
+                return super().run(*args, **kwargs)
 
         monkeypatch.setattr(metrics, "ParallelAttackRunner", Recording)
         attack = build_attack("greedy_word", victim, word_paraphraser=word_paraphraser)
@@ -203,21 +201,18 @@ def test_recurrent_delta_on_off_equality(family):
     targets = [int(1 - p) for p in model.predict(docs)]
     attack = build_attack("charflip_greedy", model)
 
-    def run(score_fn):
-        attack.set_score_fn(score_fn)
-        try:
-            out = []
-            for i, (doc, target) in enumerate(zip(docs, targets)):
-                attack.reseed(i)
-                out.append(normalize(attack.attack(list(doc), target).to_dict()))
-            return out
-        finally:
-            attack.set_score_fn(None)
+    def run(delta_scoring):
+        attack.delta_scoring = delta_scoring
+        out = []
+        for i, (doc, target) in enumerate(zip(docs, targets)):
+            attack.reseed(i)
+            out.append(normalize(attack.attack(list(doc), target).to_dict()))
+        return out
 
-    off = run(None)
-    fn = DeltaScoreFn.for_model(model)
+    off = run(False)
+    fn = attack._delta
     assert fn is not None
-    on = run(fn)
+    on = run(True)
     assert on == off
     assert fn.stats["delta_candidates"] > 0
     assert fn.stats["state_builds"] > 0
@@ -239,8 +234,8 @@ class TestCacheKeySafety:
         cand = list(base)
         cand[0] = "<unk>"
         atk = build_attack("greedy_word", victim, word_paraphraser=word_paraphraser, use_cache=True)
-        fn = DeltaScoreFn.for_model(victim)
-        atk.set_score_fn(fn)
+        atk.delta_scoring = True
+        fn = atk._delta
         atk._queries = 0
         atk._cache_hits = 0
         atk._cache = ScoreCache()
@@ -263,7 +258,6 @@ class TestCacheKeySafety:
             assert third == first
         finally:
             atk._cache = None
-            atk.set_score_fn(None)
 
     def test_full_then_delta_is_served_from_cache(
         self, victim, word_paraphraser, attackable_docs
@@ -273,8 +267,8 @@ class TestCacheKeySafety:
         cand = list(base)
         cand[-1] = "<unk>"
         atk = build_attack("greedy_word", victim, word_paraphraser=word_paraphraser, use_cache=True)
-        fn = DeltaScoreFn.for_model(victim)
-        atk.set_score_fn(fn)
+        atk.delta_scoring = True
+        fn = atk._delta
         atk._queries = 0
         atk._cache_hits = 0
         atk._cache = ScoreCache()
@@ -288,7 +282,6 @@ class TestCacheKeySafety:
             assert again == first
         finally:
             atk._cache = None
-            atk.set_score_fn(None)
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +331,11 @@ class TestDeltaObsReconciliation:
     ):
         docs, targets = golden_docs(attackable_docs)
         attack = build_attack("greedy_word", victim, word_paraphraser=word_paraphraser)
+        attack.delta_scoring = True
         registry = MetricsRegistry()
         victim.metrics = registry
         try:
-            ParallelAttackRunner(
-                attack, n_workers=1, base_seed=0, delta_scoring=True
-            ).run(docs[:2], targets[:2])
+            ParallelAttackRunner(attack, n_workers=1, base_seed=0).run(docs[:2], targets[:2])
         finally:
             victim.metrics = None
         counters = registry.counters

@@ -91,6 +91,14 @@ class TestRunJournal:
         with pytest.raises(JournalMismatchError, match="attack"):
             RunJournal(path, header={"seed": 0, "attack": "y"})
 
+    def test_journal_without_a_delta_key_resumes_only_with_delta_off(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        # a header written before journals recorded the delta setting
+        RunJournal(path, header={"seed": 0, "attack": "x"})
+        RunJournal(path, header={"seed": 0, "attack": "x", "delta_scoring": False})
+        with pytest.raises(JournalMismatchError, match="delta_scoring"):
+            RunJournal(path, header={"seed": 0, "attack": "x", "delta_scoring": True})
+
     def test_truncated_final_line_is_dropped(self, tmp_path):
         path = tmp_path / "run.jsonl"
         journal = RunJournal(path, header={"seed": 0})
@@ -214,6 +222,38 @@ class TestEvaluateAttackResume:
         assert beats == []
         assert replay.results == first.results
         assert replay.summary() == first.summary()
+
+    @pytest.mark.parametrize("written", [False, True], ids=["full-then-delta", "delta-then-full"])
+    def test_journal_refuses_the_other_delta_setting(
+        self, victim, word_paraphraser, run_kwargs, tmp_path, written
+    ):
+        """Delta on and off can pick different tied adversarials, so a resume
+        under the other setting would equal neither uninterrupted run."""
+        path = tmp_path / "run.jsonl"
+        attack = build_attack("greedy_word", victim, word_paraphraser=word_paraphraser)
+
+        def interrupt_after_two(beat):
+            if beat.done == 2:
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            evaluate_attack(
+                victim,
+                attack,
+                journal_path=path,
+                progress=interrupt_after_two,
+                delta_scoring=written,
+                **run_kwargs,
+            )
+        assert len(RunJournal(path).completed_indices()) == 2
+        with pytest.raises(JournalMismatchError, match="delta_scoring"):
+            evaluate_attack(
+                victim, attack, journal_path=path, delta_scoring=not written, **run_kwargs
+            )
+        resumed = evaluate_attack(
+            victim, attack, journal_path=path, delta_scoring=written, **run_kwargs
+        )
+        assert len(RunJournal(path).completed_indices()) == resumed.n_attacked
 
     def test_journal_refuses_different_run(
         self, victim, word_paraphraser, run_kwargs, tmp_path

@@ -11,6 +11,7 @@ import os
 import pytest
 
 from repro.attacks import build_attack
+from repro.data.datasets import Example
 from repro.eval.config import RunConfig
 from repro.eval.metrics import evaluate_attack
 from repro.eval.parallel import (
@@ -158,12 +159,20 @@ class TestScoreFnAttachment:
     def test_score_fn_is_detached_after_the_run(
         self, victim, word_paraphraser, corpus_slice
     ):
+        """evaluate_attack sets the attack's delta flag for its run only."""
         docs, targets = corpus_slice
         attack = build_attack("greedy_word", victim, word_paraphraser=word_paraphraser)
-        ParallelAttackRunner(
-            attack, n_workers=1, base_seed=0, delta_scoring=True
-        ).run(docs[:1], targets[:1])
-        assert attack.score_fn is None
+        examples = [Example(tuple(docs[0]), 1 - targets[0])]
+        during = []
+        evaluate_attack(
+            victim,
+            attack,
+            examples,
+            delta_scoring=True,
+            progress=lambda beat: during.append(attack.delta_scoring),
+        )
+        assert during == [True]
+        assert attack.delta_scoring is False
 
 
 class TestRunnerValidation:

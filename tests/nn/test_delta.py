@@ -5,8 +5,8 @@ bitwise identical to the composition-stable full forward of that candidate,
 for every model family, edit position, and span shape.  The stable kernels
 themselves are checked first: rows independent of their batch-mates and
 within 1e-12 of ``predict_proba``.  Everything that is *not*
-delta-eligible must fall back bitwise to the legacy ``predict_proba``
-path, so ``AttackResult`` fields never change when delta scoring is
+delta-eligible must fall back bitwise to the model's ``predict_proba``,
+so ``AttackResult`` fields never change when delta scoring is
 switched on.
 
 The recurrent kernel scores a proposal set as one staggered recurrence
@@ -24,8 +24,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.attacks import build_attack
 from repro.models import GRUClassifier, LSTMClassifier, WCNN
 from repro.nn.delta import (
+    RESIDENT_STATES,
     DeltaScoreFn,
     RecurrentDeltaKernel,
     delta_kernel_for,
@@ -362,17 +364,29 @@ class TestDeltaScoreFn:
         assert DeltaScoreFn.for_model(make_model("wcnn")) is not None
 
     def test_accepts_base_is_advertised(self):
-        assert DeltaScoreFn.accepts_base is True
+        """The engine hands ``base`` to its scorer, which scores incrementally."""
+        model = make_model("wcnn")
+        rng = np.random.default_rng(5)
+        base = random_doc(rng, 8)
+        cands = [changed(base, pos) for pos in (1, 4, 6)]
+        attack = build_attack("charflip_greedy", model)
+        attack.delta_scoring = True
+        scores = attack._score_batch(cands, 1, base=base)
+        assert attack._delta.stats["delta_candidates"] == len(cands)
+        assert attack._delta.stats["full_forwards"] == 0
+        assert scores == [stable_row(model, cand)[1] for cand in cands]
 
     def test_state_lru_eviction(self):
         model = make_model("wcnn")
         rng = np.random.default_rng(6)
-        fn = DeltaScoreFn(model, max_states=2)
-        bases = [random_doc(rng, 8) for _ in range(3)]
+        fn = DeltaScoreFn(model)
+        bases = [random_doc(rng, 8) for _ in range(RESIDENT_STATES + 1)]
         for base in bases:
             fn([edited(rng, base, [1])], base=base)
-        assert len(fn._states) == 2
+        assert len(fn._states) == RESIDENT_STATES
         assert tuple(bases[0]) not in fn._states  # oldest evicted
+        fn.reset()
+        assert not fn._states
 
     def test_empty_batch(self):
         model = make_model("lstm")
@@ -387,8 +401,10 @@ class TestDeltaScoreFn:
         cands = [edited(rng, base, [int(rng.integers(0, 28))]) for _ in range(64)]
         fn = DeltaScoreFn(model)
         fn(cands, base=base)
-        assert fn.forward_reduction() > 1.5
-        assert fn.stats["delta_units"] < fn.stats["delta_units_full"]
+        stats = fn.stats
+        spent = stats["delta_units"] + stats["full_units"] + stats["state_build_units"]
+        assert stats["reference_units"] / spent > 1.5
+        assert stats["delta_units"] < stats["delta_units_full"]
 
     def test_pop_stats_returns_and_clears(self):
         model = make_model("gru")

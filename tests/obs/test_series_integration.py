@@ -8,6 +8,7 @@ worker count — and telemetry must never change attack results.
 """
 
 import json
+import re
 import urllib.request
 
 import pytest
@@ -15,8 +16,15 @@ import pytest
 from repro.attacks import build_attack
 from repro.eval.metrics import evaluate_attack
 from repro.obs.exporter import TelemetryServer
+from repro.obs.registry import MetricsRegistry
 from repro.obs.report import METRICS_FILENAME
-from repro.obs.timeseries import SERIES_FILENAME, load_run_series, read_series
+from repro.obs.timeseries import (
+    DASHBOARD_ROWS,
+    SERIES_FILENAME,
+    load_run_series,
+    read_series,
+    render_dashboard,
+)
 from repro.obs.trace import validate_run_dir
 
 N_EXAMPLES = 6
@@ -108,6 +116,23 @@ class TestSeriesInterval:
         with pytest.raises(ValueError, match="REPRO_SERIES_INTERVAL"):
             _run(victim, word_paraphraser, atk_corpus, tmp_path, 1)
         assert not any(tmp_path.iterdir())
+
+
+class TestDashboardRows:
+    def test_every_run_row_renders_for_a_delta_scored_run(
+        self, victim, word_paraphraser, atk_corpus, tmp_path, monkeypatch
+    ):
+        """No dashboard row reads a metric that no run produces."""
+        # rates need two points; forward and delta counters, a victim registry
+        monkeypatch.setenv("REPRO_SERIES_INTERVAL", "1e-9")
+        prev, victim.metrics = victim.metrics, MetricsRegistry()
+        try:
+            _run(victim, word_paraphraser, atk_corpus, tmp_path, 1, delta_scoring=True)
+        finally:
+            victim.metrics = prev
+        frame = render_dashboard(load_run_series(tmp_path))
+        for label, _, _ in DASHBOARD_ROWS["run"]:
+            assert re.search(rf"^  {re.escape(label)}  ", frame, re.MULTILINE), label
 
 
 class TestTelemetryInvariance:

@@ -12,7 +12,10 @@ forward paid.  In the style of autograd's ``combo_check``, each case runs
 
 Every combination must equal, bit for bit, the 1-worker plain run at the
 same delta setting: adversarial tokens, probabilities, ``success``,
-``n_queries`` and failures.  Three accounting checks hold as well:
+``n_queries`` and failures.  A clean combination must also count the same
+work in the victim's registry: every context counter but the ``*seconds``
+timings, so ``forward/*`` and ``delta/*``.  Three accounting checks hold
+as well:
 
 - each trace file's ``forward.n_forwards`` sums to its
   ``attack_end.n_queries`` and to the result's ``n_queries``;
@@ -102,13 +105,9 @@ def comparable(evaluation: AttackEvaluation) -> dict:
     }
 
 
-def _forwards(context: dict) -> dict:
-    """The forwards a context registry counted, without their timings."""
-    return {
-        k: v
-        for k, v in context["counters"].items()
-        if k.startswith("forward/") and not k.endswith("seconds")
-    }
+def _work(context: dict) -> dict:
+    """The work a context registry counted (forwards, delta units), without timings."""
+    return {k: v for k, v in context["counters"].items() if not k.endswith("seconds")}
 
 
 @dataclass
@@ -354,8 +353,8 @@ def test_every_combination_equals_the_plain_run(
             )
             assert comparable(run.evaluation) == comparable(plain.evaluation)
             if not combo["resume"]:
-                # forwards the victim paid, merged home from every worker
-                assert _forwards(run.context) == _forwards(plain.context)
+                # the work the victim did, merged home from every worker
+                assert _work(run.context) == _work(plain.context)
             check_accounting(run, max_queries)
             if run.trace_dir is not None:
                 check_run_dir_verbs(run.trace_dir, capsys)
