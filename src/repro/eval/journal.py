@@ -21,9 +21,11 @@ makes runs durable:
   attack name, delta scoring), so a journal is never silently resumed
   against a different corpus, subsample, attack or scoring mode —
   :class:`JournalMismatchError` is raised instead;
-- a **truncated final line** (the signature of a crash mid-append) is
-  tolerated and dropped; corruption anywhere else raises
-  :class:`JournalError` rather than resuming from a lie.
+- a **truncated final line** — anything after the last newline, the
+  signature of a crash mid-append — is tolerated and dropped, from the
+  file too, so the next record starts on a fresh line; corruption
+  anywhere else raises :class:`JournalError` rather than resuming from a
+  lie.
 
 Record kinds (one JSON object per line)::
 
@@ -162,17 +164,19 @@ class RunJournal:
 
     # -- loading ------------------------------------------------------------
     def _load(self) -> None:
-        lines = self.path.read_text().split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        for lineno, line in enumerate(lines):
+        data = self.path.read_bytes()
+        end = data.rfind(b"\n") + 1
+        if end < len(data):
+            # every record is appended with its newline, so bytes after the
+            # last one are a crash mid-append: the document they described is
+            # simply re-attacked on resume.  They go from the file too, or the
+            # next record would be appended onto them
+            with open(self.path, "r+b") as fh:
+                fh.truncate(end)
+        for lineno, line in enumerate(data[:end].split(b"\n")[:-1]):
             try:
                 payload = json.loads(line)
             except json.JSONDecodeError:
-                if lineno == len(lines) - 1:
-                    # a crash mid-append leaves a truncated final line; the
-                    # document it described is simply re-attacked on resume
-                    break
                 raise JournalError(
                     f"{self.path}: undecodable journal line {lineno + 1}"
                 ) from None

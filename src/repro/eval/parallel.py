@@ -407,11 +407,12 @@ class ParallelAttackRunner:
                     # sidesteps pickling entirely
                     continue
                 completed.add(id(chunk))
+                # merged first, so the chunk's heartbeats count its forwards
+                if snapshot is not None and self.metrics is not None:
+                    self.metrics.merge(snapshot)
                 for idx, outcome in chunk_out:
                     outcomes[idx] = outcome
                     self._emit(idx, outcome)
-                if snapshot is not None and self.metrics is not None:
-                    self.metrics.merge(snapshot)
         except BrokenProcessPool:
             # the pool can also break during submission; every chunk without
             # a completed result is picked up as lost below

@@ -20,7 +20,7 @@ from collections.abc import Iterator, Sequence
 import numpy as np
 
 from repro.nn.functional import softmax
-from repro.nn.inference import fused_kernel_for, gradient_kernel_for, softmax_np
+from repro.nn.inference import kernels_for, softmax_np
 from repro.nn.layers import Embedding, Module
 from repro.nn.tensor import Tensor, no_grad
 from repro.text.vocab import Vocabulary
@@ -75,19 +75,20 @@ class TextClassifier(Module):
         Three conditions: the model is not training, has no inference-time
         (Bayesian) dropout — either draws from the model's own RNG stream
         inside the autograd forward, which only the reference path
-        reproduces — and a kernel is registered for its *exact* type.
+        reproduces — and a kernel record is registered for its *exact* type
+        (:func:`repro.nn.inference.register_kernels`).  Delta scoring asks
+        the same question before it scores incrementally.
         """
         if self.training:
             return False
         if getattr(self, "inference_dropout", 0.0):
             return False
-        return fused_kernel_for(self) is not None
+        return kernels_for(self) is not None
 
     def _probs_batch(self, token_ids: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Class probabilities for one encoded batch, fused when possible."""
-        kernel = fused_kernel_for(self) if self._fused_active() else None
-        if kernel is not None:
-            return softmax_np(kernel(self, token_ids, mask))
+        """Class probabilities for one encoded batch, by kernel when possible."""
+        if self._fused_active():
+            return softmax_np(kernels_for(self).logits(self, token_ids, mask))
         with no_grad():
             logits = self.forward(token_ids, mask)
             return softmax(logits, axis=-1).data
@@ -214,15 +215,15 @@ class TextClassifier(Module):
         Returns an array of shape ``(len(doc), D)`` (truncated to
         ``max_len``); rows for padding are never produced.
 
-        A gradient kernel registered for the exact model type
-        (:func:`repro.nn.inference.register_gradient_kernel`) serves the
-        call, bitwise equal to autograd; unregistered classes and
-        inference-time dropout, which draws from the model's RNG inside the
-        forward, take :meth:`_autograd_embedding_gradient`.
+        The ``gradient`` kernel of the record registered for the exact model
+        type (:func:`repro.nn.inference.register_kernels`) serves the call,
+        bitwise equal to autograd; classes without one and inference-time
+        dropout, which draws from the model's RNG inside the forward, take
+        :meth:`_autograd_embedding_gradient`.
         """
         ids, mask = self.encode([list(doc)])
         emb, mask = self.embedding.weight.data[ids[0]], mask[0]
-        kernel = gradient_kernel_for(self)
+        kernel = getattr(kernels_for(self), "gradient", None)
         if kernel is not None and not getattr(self, "inference_dropout", 0.0):
             grad = kernel(self, emb, mask, target_label)
         else:

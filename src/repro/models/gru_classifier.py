@@ -10,15 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.delta import RecurrentDeltaKernel, register_delta_kernel
-from repro.nn.inference import (
-    dense_np,
-    gru_forward_np,
-    register_fused_kernel,
-    register_stable_kernel,
-    stable_dense_np,
-    stable_matmul_operand,
-)
+from repro.nn.delta import RecurrentDeltaKernel
+from repro.nn.inference import Kernels, gru_forward_np, head_np, operand, register_kernels
 from repro.nn.layers import Dense, Embedding
 from repro.nn.rnn import GRU
 from repro.nn.tensor import Tensor
@@ -55,35 +48,14 @@ class GRUClassifier(TextClassifier):
         return self.head(self.gru(emb, mask=mask))
 
 
-def _gru_fused_logits(
-    model: GRUClassifier, token_ids: np.ndarray, mask: np.ndarray
+def _gru_logits(
+    model: GRUClassifier, token_ids: np.ndarray, mask: np.ndarray, stable: bool = False
 ) -> np.ndarray:
+    """The GRU forward; ``stable`` is the delta scorers' reference (B >= 2)."""
     emb = model.embedding.weight.data[token_ids]
-    h = gru_forward_np(
-        emb, mask, model.gru.w_x.data, model.gru.w_h.data, model.gru.bias.data
-    )
-    head = model.head
-    return dense_np(h, head.weight.data, head.bias.data if head.bias is not None else None)
+    gru = model.gru
+    w_x, w_h = operand(gru.w_x.data, stable), operand(gru.w_h.data, stable)
+    return head_np(model.head, gru_forward_np(emb, mask, w_x, w_h, gru.bias.data), stable)
 
 
-def _gru_stable_logits(
-    model: GRUClassifier, token_ids: np.ndarray, mask: np.ndarray
-) -> np.ndarray:
-    """Composition-stable GRU forward, the reference of delta scoring (B >= 2)."""
-    emb = model.embedding.weight.data[token_ids]
-    h = gru_forward_np(
-        emb,
-        mask,
-        stable_matmul_operand(model.gru.w_x.data),
-        stable_matmul_operand(model.gru.w_h.data),
-        model.gru.bias.data,
-    )
-    head = model.head
-    return stable_dense_np(
-        h, head.weight.data, head.bias.data if head.bias is not None else None
-    )
-
-
-register_fused_kernel(GRUClassifier, _gru_fused_logits)
-register_stable_kernel(GRUClassifier, _gru_stable_logits)
-register_delta_kernel(GRUClassifier, RecurrentDeltaKernel("gru", "gru"))
+register_kernels(GRUClassifier, Kernels(_gru_logits, delta=RecurrentDeltaKernel("gru")))

@@ -10,17 +10,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.delta import RecurrentDeltaKernel, register_delta_kernel
+from repro.nn.delta import RecurrentDeltaKernel
 from repro.nn.inference import (
-    dense_np,
+    Kernels,
+    head_np,
     lstm_forward_np,
-    register_fused_kernel,
-    register_gradient_kernel,
-    register_stable_kernel,
+    operand,
+    register_kernels,
     sigmoid_np,
     softmax_target_grad_np,
-    stable_dense_np,
-    stable_matmul_operand,
 )
 from repro.nn.layers import Dense, Embedding
 from repro.nn.rnn import LSTM
@@ -59,33 +57,15 @@ class LSTMClassifier(TextClassifier):
         return self.head(h)
 
 
-def _lstm_fused_logits(
-    model: LSTMClassifier, token_ids: np.ndarray, mask: np.ndarray
+def _lstm_logits(
+    model: LSTMClassifier, token_ids: np.ndarray, mask: np.ndarray, stable: bool = False
 ) -> np.ndarray:
+    """The LSTM forward; ``stable`` is the delta scorers' reference (B >= 2)."""
     emb = model.embedding.weight.data[token_ids]
-    h, _ = lstm_forward_np(
-        emb, mask, model.lstm.w_x.data, model.lstm.w_h.data, model.lstm.bias.data
-    )
-    head = model.head
-    return dense_np(h, head.weight.data, head.bias.data if head.bias is not None else None)
-
-
-def _lstm_stable_logits(
-    model: LSTMClassifier, token_ids: np.ndarray, mask: np.ndarray
-) -> np.ndarray:
-    """Composition-stable LSTM forward, the reference of delta scoring (B >= 2)."""
-    emb = model.embedding.weight.data[token_ids]
-    h, _ = lstm_forward_np(
-        emb,
-        mask,
-        stable_matmul_operand(model.lstm.w_x.data),
-        stable_matmul_operand(model.lstm.w_h.data),
-        model.lstm.bias.data,
-    )
-    head = model.head
-    return stable_dense_np(
-        h, head.weight.data, head.bias.data if head.bias is not None else None
-    )
+    lstm = model.lstm
+    w_x, w_h = operand(lstm.w_x.data, stable), operand(lstm.w_h.data, stable)
+    h, _ = lstm_forward_np(emb, mask, w_x, w_h, lstm.bias.data)
+    return head_np(model.head, h, stable)
 
 
 def _lstm_embedding_gradient(
@@ -135,8 +115,7 @@ def _lstm_embedding_gradient(
     slope[:, 2 * hid : 3 * hid] = 1.0 - g**2
     d_tanh_c = 1.0 - tanh_c**2
     by_d_c = np.stack([g, c_seq[:-1], i], axis=1)  # d_c_new's factors for i, f, g
-    head_bias = head.bias.data if head.bias is not None else None
-    d_logits = softmax_target_grad_np(dense_np(h, head.weight.data, head_bias), target)
+    d_logits = softmax_target_grad_np(head_np(head, h), target)
     d_h = d_logits @ head.weight.data
     d_c = np.zeros((1, hid))
     d_x_proj = np.zeros_like(x_proj)
@@ -153,7 +132,7 @@ def _lstm_embedding_gradient(
     return d_x_proj @ w_x
 
 
-register_fused_kernel(LSTMClassifier, _lstm_fused_logits)
-register_gradient_kernel(LSTMClassifier, _lstm_embedding_gradient)
-register_stable_kernel(LSTMClassifier, _lstm_stable_logits)
-register_delta_kernel(LSTMClassifier, RecurrentDeltaKernel("lstm", "lstm"))
+register_kernels(
+    LSTMClassifier,
+    Kernels(_lstm_logits, _lstm_embedding_gradient, RecurrentDeltaKernel("lstm")),
+)

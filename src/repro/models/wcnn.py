@@ -13,18 +13,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.delta import ConvDeltaKernel, register_delta_kernel
+from repro.nn.delta import ConvDeltaKernel
 from repro.nn.functional import dropout as dropout_fn
 from repro.nn.inference import (
+    Kernels,
     conv1d_np,
-    dense_np,
-    max_over_time_np,
-    register_fused_kernel,
-    register_gradient_kernel,
-    register_stable_kernel,
+    head_np,
+    operand,
+    register_kernels,
     softmax_target_grad_np,
-    stable_dense_np,
-    stable_matmul_operand,
 )
 from repro.nn.layers import Conv1d, Dense, Embedding, MaxOverTime
 from repro.nn.tensor import Tensor
@@ -96,37 +93,19 @@ class WCNN(TextClassifier):
         return np.asarray(mask)[:, starts]
 
 
-def _wcnn_fused_logits(model: WCNN, token_ids: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def _wcnn_logits(
+    model: WCNN, token_ids: np.ndarray, mask: np.ndarray, stable: bool = False
+) -> np.ndarray:
+    """The WCNN forward; ``stable`` is the delta scorers' reference (B >= 2)."""
     emb = model.embedding.weight.data[token_ids]
     conv = model.conv
-    feats = conv1d_np(emb, conv.weight.data, conv.bias.data, conv.kernel_size, conv.stride)
+    weight = operand(conv.weight.data, stable)
+    feats = conv1d_np(emb, weight, conv.bias.data, conv.kernel_size, conv.stride)
     # feats is this kernel's own array: ReLU and window penalty in place,
     # the same ops as np.maximum and max_over_time_np without two temporaries
     np.maximum(feats, 0.0, out=feats)
     feats += np.where(model._window_mask(mask), 0.0, MaxOverTime.NEG)[:, :, None]
-    pooled = feats.max(axis=1)
-    head = model.head
-    return dense_np(pooled, head.weight.data, head.bias.data if head.bias is not None else None)
-
-
-def _wcnn_stable_logits(model: WCNN, token_ids: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Composition-stable WCNN forward, the reference of delta scoring (B >= 2)."""
-    emb = model.embedding.weight.data[token_ids]
-    feats = np.maximum(
-        conv1d_np(
-            emb,
-            stable_matmul_operand(model.conv.weight.data),
-            model.conv.bias.data,
-            model.conv.kernel_size,
-            model.conv.stride,
-        ),
-        0.0,
-    )
-    pooled = max_over_time_np(feats, model._window_mask(mask), MaxOverTime.NEG)
-    head = model.head
-    return stable_dense_np(
-        pooled, head.weight.data, head.bias.data if head.bias is not None else None
-    )
+    return head_np(model.head, feats.max(axis=1), stable)
 
 
 def _wcnn_embedding_gradient(
@@ -151,8 +130,7 @@ def _wcnn_embedding_gradient(
     filters = np.arange(len(best))
     pooled = scores[:, best, filters]
 
-    head_bias = head.bias.data if head.bias is not None else None
-    d_logits = softmax_target_grad_np(dense_np(pooled, head.weight.data, head_bias), target)
+    d_logits = softmax_target_grad_np(head_np(head, pooled), target)
     d_pooled = (d_logits @ head.weight.data)[0]
     d_pre = np.zeros_like(pre)
     d_pre[0, best, filters] = np.where(pre[0, best, filters] > 0, d_pooled, 0.0)
@@ -163,7 +141,4 @@ def _wcnn_embedding_gradient(
     return d_emb
 
 
-register_fused_kernel(WCNN, _wcnn_fused_logits)
-register_gradient_kernel(WCNN, _wcnn_embedding_gradient)
-register_stable_kernel(WCNN, _wcnn_stable_logits)
-register_delta_kernel(WCNN, ConvDeltaKernel())
+register_kernels(WCNN, Kernels(_wcnn_logits, _wcnn_embedding_gradient, ConvDeltaKernel()))

@@ -8,8 +8,9 @@ gradient-guided greedy attack (Algorithm 3).
 
 from repro.nn.functional import dropout, log_softmax, relu, sigmoid, softmax, tanh
 from repro.nn.inference import (
-    fused_kernel_for,
-    register_fused_kernel,
+    Kernels,
+    kernels_for,
+    register_kernels,
     softmax_np,
 )
 from repro.nn.layers import (
@@ -63,7 +64,8 @@ __all__ = [
     "load_state_dict",
     "save",
     "load",
-    "register_fused_kernel",
-    "fused_kernel_for",
+    "Kernels",
+    "register_kernels",
+    "kernels_for",
     "softmax_np",
 ]

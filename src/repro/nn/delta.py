@@ -31,7 +31,8 @@ an edit can change:
 Exactness / parity
 ------------------
 Delta-scored probabilities are **bitwise identical** to the reference
-*composition-stable* full forward (``repro.nn.inference`` stable kernels):
+*composition-stable* full forward (the family's
+``Kernels.logits(..., stable=True)`` in :mod:`repro.nn.inference`):
 every GEMM uses the same contiguous pre-transposed operands
 (``stable_matmul_operand``), whose output rows are bitwise independent of
 batch composition for M >= 2 (single-row dispatches are padded by row
@@ -45,7 +46,7 @@ base (``AttackResult.original_prob``, staged-search incumbents) and
 ineligible candidates (token count differs from the base, stochastic
 inference) take the untouched ``model.predict_proba`` path, but delta
 scores drive the search's argmax / threshold decisions with stable-kernel
-probabilities, which can differ from the default fused kernel's by a few
+probabilities, which can differ from the default forward's by a few
 ULPs; where two proposals tie that closely the search may pick the other
 one (one of 462 documents of the Table-2 benchmark grid does).  Delta-on
 runs are deterministic and independent of batch composition and workers.
@@ -63,9 +64,9 @@ forward reduction, ``reference_units`` over the units actually spent
 state-build and padding overhead.
 
 Layering: like :mod:`repro.nn.inference`, this module depends only on
-NumPy.  Model modules register their kernels
-(:func:`register_delta_kernel`); everything else is duck-typed attribute
-access on the model.
+NumPy.  Model modules put their delta kernel into their family's
+:class:`~repro.nn.inference.Kernels` record; everything else is
+duck-typed attribute access on the model.
 """
 
 from __future__ import annotations
@@ -79,16 +80,15 @@ import numpy as np
 from repro.nn.inference import (
     gru_cell_np,
     gru_forward_np,
+    head_np,
+    kernels_for,
     lstm_cell_np,
     lstm_forward_np,
     softmax_np,
-    stable_dense_np,
     stable_matmul_operand,
 )
 
 __all__ = [
-    "register_delta_kernel",
-    "delta_kernel_for",
     "diff_span",
     "DeltaState",
     "ConvDeltaKernel",
@@ -97,25 +97,8 @@ __all__ = [
     "RESIDENT_STATES",
 ]
 
-_DELTA_REGISTRY: dict[type, "object"] = {}
-
 #: base states a :class:`DeltaScoreFn` keeps resident; the oldest is evicted
 RESIDENT_STATES = 8
-
-
-def register_delta_kernel(model_cls: type, kernel: object) -> None:
-    """Register a delta kernel for ``model_cls``.
-
-    Exact-type lookup, like the fused/stable kernel registries: a subclass
-    with a different forward must not inherit a kernel that computes
-    something else.
-    """
-    _DELTA_REGISTRY[model_cls] = kernel
-
-
-def delta_kernel_for(model: object) -> object | None:
-    """The registered delta kernel for ``type(model)``, or None."""
-    return _DELTA_REGISTRY.get(type(model))
 
 
 def diff_span(base: Sequence[str], cand: Sequence[str], limit: int) -> tuple[int, int] | None:
@@ -186,21 +169,17 @@ def _stable_rows(flat: np.ndarray, operand: np.ndarray, bias: np.ndarray) -> np.
 
 def _head_probs(model: object, pooled: np.ndarray) -> np.ndarray:
     """Stable classification head + softmax (both composition-invariant)."""
-    head = model.head
-    bias = head.bias.data if head.bias is not None else None
-    return softmax_np(stable_dense_np(pooled, head.weight.data, bias))
+    return softmax_np(head_np(model.head, pooled, stable=True))
 
 
 class ConvDeltaKernel:
     """Windowed recompute + segmented-max pooling for WCNN-shaped models.
 
     Duck-typed requirements on the model: ``embedding.weight.data``,
-    ``conv`` (``weight.data``, ``bias.data``, ``kernel_size``, ``stride``),
-    ``pool.NEG``, ``head`` (Dense), ``_window_mask``.
+    ``conv`` (``weight.data``, ``bias.data``, ``kernel_size``; stride 1, as
+    :class:`~repro.models.wcnn.WCNN` builds it), ``pool.NEG``, ``head``
+    (Dense), ``_window_mask``.
     """
-
-    def supports(self, model: object) -> bool:
-        return getattr(model.conv, "stride", 1) == 1
 
     def full_units(self, model: object, n_tokens: int) -> float:
         """Cost of one full forward for an ``n_tokens`` doc, in conv windows."""
@@ -280,27 +259,23 @@ class ConvDeltaKernel:
 class RecurrentDeltaKernel:
     """Prefix-state caching + staggered suffix recurrence for LSTM/GRU models.
 
-    ``cell_attr`` names the recurrent module on the model (``"lstm"`` /
-    ``"gru"``); ``kind`` selects the recurrence.  Duck-typed requirements:
-    ``<cell>.w_x.data``, ``<cell>.w_h.data``, ``<cell>.bias.data``,
+    ``kind`` (``"lstm"`` / ``"gru"``) selects the recurrence and names the
+    recurrent module on the model.  Duck-typed requirements:
+    ``<kind>.w_x.data``, ``<kind>.w_h.data``, ``<kind>.bias.data``,
     ``embedding.weight.data``, ``head``.
     """
 
-    def __init__(self, cell_attr: str, kind: str) -> None:
+    def __init__(self, kind: str) -> None:
         if kind not in ("lstm", "gru"):
             raise ValueError(f"unknown recurrence kind: {kind!r}")
-        self.cell_attr = cell_attr
         self.kind = kind
-
-    def supports(self, model: object) -> bool:
-        return True
 
     def full_units(self, model: object, n_tokens: int) -> float:
         """Cost of one full forward for an ``n_tokens`` doc, in timesteps."""
         return float(max(1, min(n_tokens, model.max_len)))
 
     def _operands(self, model: object) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        cell = getattr(model, self.cell_attr)
+        cell = getattr(model, self.kind)
         wx = stable_matmul_operand(cell.w_x.data)
         wh = stable_matmul_operand(cell.w_h.data)
         return wx, wh, cell.bias.data
@@ -396,7 +371,7 @@ class DeltaScoreFn:
 
     def __init__(self, model: object) -> None:
         self.model = model
-        self.kernel = delta_kernel_for(model)
+        self.kernel = getattr(kernels_for(model), "delta", None)
         self._states: OrderedDict[tuple, DeltaState] = OrderedDict()
         self.stats: dict[str, float] = {
             "delta_candidates": 0.0,  # candidates scored incrementally
@@ -413,11 +388,9 @@ class DeltaScoreFn:
 
     @classmethod
     def for_model(cls, model: object) -> "DeltaScoreFn | None":
-        """A DeltaScoreFn when ``model`` has a usable kernel, else None."""
-        kernel = delta_kernel_for(model)
-        if kernel is None or not kernel.supports(model):
-            return None
-        return cls(model)
+        """A DeltaScoreFn when ``model`` has a delta kernel, else None."""
+        fn = cls(model)
+        return fn if fn.kernel is not None else None
 
     def reset(self) -> None:
         """Drop every resident base state."""
@@ -430,12 +403,6 @@ class DeltaScoreFn:
         return last
 
     # -- scoring ------------------------------------------------------------
-    def _deterministic(self) -> bool:
-        model = self.model
-        return not getattr(model, "training", False) and not getattr(
-            model, "inference_dropout", 0.0
-        )
-
     def _record(self, name: str, amount: float = 1.0) -> None:
         self.stats[name] += amount
         metrics = getattr(self.model, "metrics", None)
@@ -476,7 +443,8 @@ class DeltaScoreFn:
         model = self.model
         if not len(docs):
             return np.zeros((0, model.num_classes))
-        deterministic = self._deterministic()
+        # the model's own test: no training, no inference-time dropout
+        deterministic = model._fused_active()
         if base is None or not deterministic:
             self._last = None
             return self._full(list(docs), deterministic)

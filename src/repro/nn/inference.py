@@ -1,4 +1,4 @@
-"""Graph-free fused inference kernels.
+"""Graph-free inference kernels, one record per model family.
 
 Every ``predict_proba`` call used to walk the reverse-mode autograd
 machinery in :mod:`repro.nn.tensor` — one Python-level :class:`Tensor`
@@ -6,36 +6,40 @@ allocation per op, per timestep of the recurrent loops — even under
 ``no_grad()``.  For the attack workload (thousands of small candidate
 batches) that Python overhead dominates the actual FLOPs.
 
-This module provides pure-NumPy *fused* forward kernels that read weights
-straight out of the trained ``Module`` parameters: a single fused gate
-matmul per LSTM/GRU timestep over preallocated state buffers, conv-as-matmul
-for the WCNN, and a NumPy softmax replicating the exact op sequence of
+This module provides pure-NumPy forward kernels that read weights straight
+out of the trained ``Module`` parameters: a single fused gate matmul per
+LSTM/GRU timestep over preallocated state buffers, conv-as-matmul for the
+WCNN, and a NumPy softmax replicating the exact op sequence of
 :func:`repro.nn.functional.softmax`.  Each kernel performs bit-for-bit the
 same floating-point operations in the same order as the autograd path, so
-fused and reference probabilities agree exactly (the parity tests assert
+kernel and reference probabilities agree exactly (the parity tests assert
 ``<= 1e-12``; in practice the outputs are bitwise identical).
 
-Model classes opt in through :func:`register_fused_kernel`; dispatch
-happens in :meth:`repro.models.base.TextClassifier.predict_proba` whenever
-no gradient is needed and scoring is deterministic.  The autograd forward
-is kept untouched as the reference implementation, and serves training,
-inference-time dropout and unregistered model classes.
+A model class opts in by registering one :class:`Kernels` record with
+:func:`register_kernels`; :func:`kernels_for` looks it up by exact type.
+The record holds:
 
-Registered *gradient* kernels (:func:`register_gradient_kernel`) serve
-:meth:`repro.models.base.TextClassifier.embedding_gradient`, the embedding
-gradient of one class probability that gradient-guided attacks rank words
-by.  Each replays the autograd backward by hand — same ops, same operand
-shapes, same accumulation order — so its gradient is bitwise the autograd
-one; :func:`softmax_target_grad_np` is the shared softmax step.  Autograd
-stays the reference, and the path for training, inference-time dropout
-and unregistered classes.
+- ``logits(model, ids, mask, stable=False)``, the forward.  Dispatch
+  happens in :meth:`repro.models.base.TextClassifier.predict_proba`
+  whenever no gradient is needed and scoring is deterministic.  With
+  ``stable=True`` the same body runs on re-laid-out GEMM operands and a
+  composition-invariant head (:func:`operand`, :func:`head_np`), so its
+  rows do not depend on their batch-mates: the reference of delta scoring
+  (see the notes above :func:`stable_matmul_operand`).
+- ``gradient(model, emb, mask, target)``, or None: it serves
+  :meth:`repro.models.base.TextClassifier.embedding_gradient`, the
+  embedding gradient of one class probability that gradient-guided
+  attacks rank words by.  Each replays the autograd backward by hand —
+  same ops, same operand shapes, same accumulation order — so its
+  gradient is bitwise the autograd one; :func:`softmax_target_grad_np` is
+  the shared softmax step.
+- ``delta``, or None: the family's incremental proposal scorer
+  (:mod:`repro.nn.delta`).
 
-Registered *stable* kernels (:func:`register_stable_kernel`) trade the
-op-order match for rows that do not depend on their batch-mates; they are
-the reference of delta scoring (see the notes above
-:func:`stable_matmul_operand`).  Like the fused kernels they read the
-parameters on every call and cache nothing derived from them, because the
-optimizers update parameter arrays in place.
+The autograd forward is kept untouched as the reference implementation,
+and serves training, inference-time dropout and unregistered model
+classes.  The kernels read the parameters on every call and cache nothing
+derived from them, because the optimizers update parameter arrays in place.
 
 Layering: this module depends on nothing but NumPy.  Model modules import
 it to register their kernels; it never imports ``repro.models``.
@@ -43,17 +47,17 @@ it to register their kernels; it never imports ``repro.models``.
 
 from __future__ import annotations
 
-from typing import Callable, TypeVar
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
-    "register_fused_kernel",
-    "fused_kernel_for",
-    "register_stable_kernel",
-    "stable_kernel_for",
-    "register_gradient_kernel",
-    "gradient_kernel_for",
+    "Kernels",
+    "register_kernels",
+    "kernels_for",
+    "operand",
+    "head_np",
     "softmax_target_grad_np",
     "stable_matmul_operand",
     "stable_dense_np",
@@ -68,70 +72,39 @@ __all__ = [
     "gru_forward_np",
 ]
 
-# kernel signature: (model, token_ids (B, T) int, mask (B, T) bool) -> logits (B, C)
-FusedKernel = Callable[[object, np.ndarray, np.ndarray], np.ndarray]
+# signature: (model, token_ids (B, T) int, mask (B, T) bool, stable=False) -> logits (B, C)
+LogitsKernel = Callable[..., np.ndarray]
 
-# kernel signature: (model, emb (T, D), mask (T,) bool, target label) -> grad (T, D)
+# signature: (model, emb (T, D), mask (T,) bool, target label) -> grad (T, D)
 GradientKernel = Callable[[object, np.ndarray, np.ndarray, int], np.ndarray]
 
-_REGISTRY: dict[type, FusedKernel] = {}
-_STABLE_REGISTRY: dict[type, FusedKernel] = {}
-_GRADIENT_REGISTRY: dict[type, GradientKernel] = {}
 
-M = TypeVar("M", bound=type)
+@dataclass(frozen=True)
+class Kernels:
+    """One model family's graph-free kernels (see the module docstring)."""
+
+    logits: LogitsKernel
+    gradient: GradientKernel | None = None
+    delta: object | None = None
 
 
-def register_fused_kernel(model_cls: type, kernel: FusedKernel) -> None:
-    """Register a graph-free forward for ``model_cls``.
+_KERNELS: dict[type, Kernels] = {}
+
+
+def register_kernels(model_cls: type, kernels: Kernels) -> None:
+    """Register ``model_cls``'s kernel record.
 
     Lookup is by *exact* type, never by subclass: a subclass overriding
-    ``forward_from_embeddings`` must not silently inherit a kernel that
-    computes something else.  Subclasses that keep the forward unchanged
-    can re-register the parent's kernel explicitly.
+    ``forward_from_embeddings`` must not silently inherit kernels that
+    compute something else.  Subclasses that keep the forward unchanged
+    can re-register the parent's record explicitly.
     """
-    _REGISTRY[model_cls] = kernel
+    _KERNELS[model_cls] = kernels
 
 
-def fused_kernel_for(model: object) -> FusedKernel | None:
-    """The registered kernel for ``type(model)``, or None (reference path)."""
-    return _REGISTRY.get(type(model))
-
-
-def register_stable_kernel(model_cls: type, kernel: FusedKernel) -> None:
-    """Register a *composition-stable* forward for ``model_cls``.
-
-    A stable kernel guarantees a stronger property than the fused ones:
-    every output row is bitwise independent of which other rows share the
-    batch.  Delta scoring (:mod:`repro.nn.delta`) depends on this: its
-    rows are defined as bitwise equal to the stable forward, whatever
-    candidates share the proposal batch, and the parity tests check the
-    delta kernels against these kernels bit for bit.
-
-    Same exact-type lookup rule as :func:`register_fused_kernel`.
-    """
-    _STABLE_REGISTRY[model_cls] = kernel
-
-
-def stable_kernel_for(model: object) -> FusedKernel | None:
-    """The registered composition-stable kernel for ``type(model)``, or None."""
-    return _STABLE_REGISTRY.get(type(model))
-
-
-def register_gradient_kernel(model_cls: type, kernel: GradientKernel) -> None:
-    """Register a graph-free embedding gradient for ``model_cls``.
-
-    ``kernel(model, emb, mask, target)`` returns the gradient of
-    ``softmax(logits)[0, target]`` with respect to one document's padded
-    ``(T, D)`` embedding values, bitwise equal to the autograd gradient.  It
-    computes the eval-mode forward; callers route inference-time dropout to
-    autograd.  Same exact-type lookup rule as :func:`register_fused_kernel`.
-    """
-    _GRADIENT_REGISTRY[model_cls] = kernel
-
-
-def gradient_kernel_for(model: object) -> GradientKernel | None:
-    """The registered gradient kernel for ``type(model)``, or None (autograd)."""
-    return _GRADIENT_REGISTRY.get(type(model))
+def kernels_for(model: object) -> Kernels | None:
+    """The kernel record for ``type(model)``, or None (reference path)."""
+    return _KERNELS.get(type(model))
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +116,7 @@ def softmax_np(logits: np.ndarray, axis: int = -1) -> np.ndarray:
 
     That implementation computes ``exp(shifted - log(sum(exp(shifted))))``
     with ``shifted = x - max(x)``; reproducing the same sequence keeps the
-    fused probabilities bitwise equal to the reference ones.
+    kernel probabilities bitwise equal to the reference ones.
     """
     shifted = logits - logits.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
@@ -370,7 +343,7 @@ def gru_forward_np(
 # ---------------------------------------------------------------------------
 # composition-stable primitives
 #
-# The fused kernels above replicate the autograd op order bitwise, but both
+# The primitives above replicate the autograd op order bitwise, but both
 # paths inherit OpenBLAS's batch-shape sensitivity: `x @ w.T` with a
 # transposed-*view* second operand picks different micro-kernels (and
 # different K-blocking, hence different summation orders) depending on the
@@ -391,12 +364,14 @@ def gru_forward_np(
 # composition-invariant by construction), and callers must never dispatch a
 # single-row batch (the delta kernels pad a lone row to 2).  Elementwise
 # ops, softmax, gathers and masked reductions are all per-row already.
+# A family's `logits(..., stable=True)` is its one forward body with the
+# recipe swapped in through `operand` and `head_np`.
 # ---------------------------------------------------------------------------
 
 def stable_matmul_operand(weight: np.ndarray) -> np.ndarray:
     """``weight``, re-laid-out so ``weight.T`` is a C-contiguous GEMM operand.
 
-    The fused recurrences and conv all compute ``x @ w.T``; handing them a
+    The recurrences and conv all compute ``x @ w.T``; handing them a
     transpose-contiguous ``w`` makes the BLAS see a contiguous NoTrans
     second operand, which is what makes their rows composition-stable for
     M >= 2.  The copy is made on every call: the optimizers update
@@ -421,3 +396,14 @@ def stable_dense_np(
     if bias is not None:
         out = out + bias
     return out
+
+
+def operand(weight: np.ndarray, stable: bool) -> np.ndarray:
+    """``weight`` as a GEMM operand: re-laid-out when ``stable``, else as stored."""
+    return stable_matmul_operand(weight) if stable else weight
+
+
+def head_np(head: object, x: np.ndarray, stable: bool = False) -> np.ndarray:
+    """A ``Dense`` head on raw arrays: :func:`stable_dense_np` or :func:`dense_np`."""
+    bias = head.bias.data if head.bias is not None else None
+    return (stable_dense_np if stable else dense_np)(x, head.weight.data, bias)

@@ -42,6 +42,7 @@ from collections import deque
 from collections.abc import Callable, Iterator
 from pathlib import Path
 
+from repro.obs.registry import Histogram
 from repro.obs.trace import TraceSchemaError
 
 __all__ = [
@@ -161,13 +162,11 @@ class TimeSeriesSampler:
                         rates[name] = delta / dt
         self._prev = (elapsed, counters)
         histograms = {}
-        for name, hist in (snap.get("histograms") or {}).items():
-            count = int(hist.get("count", 0))
-            total = float(hist.get("total", 0.0))
-            digest = {"count": count, "mean": total / count if count else 0.0}
-            quantiles = _hist_quantiles(hist)
-            if quantiles is not None:
-                digest.update(quantiles)
+        for name, hist_snapshot in (snap.get("histograms") or {}).items():
+            hist = Histogram.from_snapshot(hist_snapshot)
+            digest = {"count": hist.count, "mean": hist.mean}
+            if hist.count:
+                digest.update(p50=hist.quantile(0.5), p95=hist.quantile(0.95))
             histograms[name] = digest
         self._seq += 1
         return {
@@ -223,35 +222,6 @@ class TimeSeriesSampler:
         with self._lock:
             self._closed = True
         return point
-
-
-def _hist_quantiles(hist_snapshot: dict) -> dict | None:
-    """p50/p95 from a Histogram snapshot dict, without importing registry."""
-    counts = hist_snapshot.get("counts")
-    bounds = hist_snapshot.get("bounds")
-    count = int(hist_snapshot.get("count", 0))
-    if not counts or not bounds or count == 0:
-        return None
-    lo = hist_snapshot.get("min")
-    hi = hist_snapshot.get("max")
-    out = {}
-    for label, q in (("p50", 0.5), ("p95", 0.95)):
-        target = q * count
-        cumulative = 0
-        value = hi
-        for i, c in enumerate(counts):
-            if c == 0:
-                continue
-            if cumulative + c >= target:
-                bucket_lo = bounds[i - 1] if i > 0 else 0.0
-                bucket_hi = bounds[i] if i < len(bounds) else hi
-                value = bucket_lo + (target - cumulative) / c * (bucket_hi - bucket_lo)
-                break
-            cumulative += c
-        if lo is not None and hi is not None:
-            value = min(max(value, lo), hi)
-        out[label] = value
-    return out
 
 
 # -- readers -----------------------------------------------------------------

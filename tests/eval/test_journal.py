@@ -107,6 +107,24 @@ class TestRunJournal:
             fh.write('{"kind": "result", "doc_index": 1, "resu')  # crash mid-append
         reloaded = RunJournal(path, header={"seed": 0})
         assert reloaded.completed_indices() == {0}
+        # the resumed run appends on a fresh line, not onto the fragment
+        reloaded.record(1, make_result(), seed_index=1)
+        reloaded.record(2, make_result(), seed_index=2)
+        assert RunJournal(path, header={"seed": 0}).completed_indices() == {0, 1, 2}
+
+    def test_final_record_without_its_newline_is_dropped(self, tmp_path):
+        # a crash can tear an append just before its newline; the next record
+        # must not be appended onto the complete-looking fragment
+        path = tmp_path / "run.jsonl"
+        journal = RunJournal(path, header={"seed": 0})
+        journal.record(0, make_result(), seed_index=0)
+        journal.record(1, make_result(), seed_index=1)
+        path.write_bytes(path.read_bytes()[:-1])
+        reloaded = RunJournal(path, header={"seed": 0})
+        assert reloaded.completed_indices() == {0}
+        reloaded.record(1, make_result(), seed_index=1)
+        reloaded.record(2, make_result(), seed_index=2)
+        assert RunJournal(path, header={"seed": 0}).completed_indices() == {0, 1, 2}
 
     def test_corruption_before_final_line_raises(self, tmp_path):
         path = tmp_path / "run.jsonl"

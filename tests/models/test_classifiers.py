@@ -6,7 +6,7 @@ import pytest
 from repro.models import WCNN, evaluate
 from repro.models.train import TrainConfig, fit
 from repro.nn.functional import softmax
-from repro.nn.inference import gradient_kernel_for
+from repro.nn.inference import kernels_for
 from repro.nn.tensor import Tensor
 from tests.gradcheck import numerical_grad
 from tests.models.conftest import MAX_LEN
@@ -186,7 +186,7 @@ class TestEmbeddingGradient:
         num = numerical_grad(f, base[0, : len(doc)].copy(), eps=1e-6)
         np.testing.assert_allclose(analytic, num, atol=1e-6)
         # the graph-free kernel that serves embedding_gradient, same point
-        kernel = gradient_kernel_for(model)(model, base[0], mask[0], target)
+        kernel = kernels_for(model).gradient(model, base[0], mask[0], target)
         np.testing.assert_allclose(kernel[: len(doc)], num, atol=1e-6)
 
     def test_does_not_leave_model_in_train_mode(self, trained_wcnn, tiny_corpus):

@@ -1,10 +1,13 @@
-"""Parity tests: graph-free fused kernels vs the autograd reference path.
+"""Parity tests: graph-free kernels vs the autograd reference path.
 
-The fused kernels (repro.nn.inference) must reproduce the reference
+The registered forwards (``kernels_for(model).logits`` in
+repro.nn.inference) must reproduce the reference
 probabilities to <= 1e-12 on every registered architecture, across the
 length-bucketed batching edge cases: mixed-length batches, masked padding,
 empty batches, single-token documents, and documents at exactly ``max_len``.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -12,17 +15,17 @@ import pytest
 from repro.models import GRUClassifier, LSTMClassifier, TrainConfig, fit
 from repro.models.wcnn import WCNN
 from repro.nn import inference
+from repro.nn.delta import DeltaScoreFn
 from repro.nn.functional import softmax
 from repro.nn.inference import (
+    Kernels,
     conv1d_np,
-    fused_kernel_for,
-    gradient_kernel_for,
+    kernels_for,
     lstm_forward_np,
     max_over_time_np,
-    register_fused_kernel,
+    register_kernels,
     sigmoid_np,
     softmax_np,
-    stable_kernel_for,
 )
 from repro.nn.layers import Conv1d
 from repro.nn.losses import softmax_cross_entropy
@@ -80,7 +83,7 @@ class TestKernelParity:
     def test_unbucketed_path_parity(self, trained_wcnn, tiny_corpus):
         # parity must hold on a batch padded to max_len, too
         ids, mask = trained_wcnn.encode(tiny_corpus.documents("test")[:16])
-        fused = softmax_np(fused_kernel_for(trained_wcnn)(trained_wcnn, ids, mask))
+        fused = softmax_np(kernels_for(trained_wcnn).logits(trained_wcnn, ids, mask))
         ref = autograd_probs(trained_wcnn, ids, mask)
         assert np.abs(fused - ref).max() <= TOL
 
@@ -124,7 +127,7 @@ class TestKernelParity:
         ids, mask = trained_wcnn.encode([docs[i % len(docs)] for i in range(batch)])
         assert not mask.all()  # every row carries padding
         inputs = ids.copy(), mask.copy()
-        fused = fused_kernel_for(trained_wcnn)(trained_wcnn, ids, mask)
+        fused = kernels_for(trained_wcnn).logits(trained_wcnn, ids, mask)
         with no_grad():
             ref = trained_wcnn.forward(ids, mask).data
         assert fused.shape == ref.shape and fused.dtype == ref.dtype
@@ -144,8 +147,8 @@ def advanced_index_conv(emb, weight, bias, kernel_size, stride):
 class TestPrimitivesAtKernelShapes:
     """The shared primitives: bitwise their reference, and inputs only read.
 
-    The fused, stable, delta and gradient kernels all pass arrays they do
-    not own into these, so none may write into its arguments.
+    The forward (in both modes), delta and gradient kernels all pass arrays
+    they do not own into these, so none may write into its arguments.
     """
 
     @pytest.mark.parametrize("batch", [1, 2, 16, 74])
@@ -240,20 +243,22 @@ class TestDispatchRules:
         # registry shows that scoring took the kernel
         docs = tiny_corpus.documents("test")
         for model in (trained_wcnn, trained_lstm):
-            kernel = fused_kernel_for(model)
+            record = kernels_for(model)
             rows = []
 
-            def spy(m, ids, mask, kernel=kernel, rows=rows):
+            def spy(m, ids, mask, stable=False, logits=record.logits, rows=rows):
                 rows.append(len(ids))
-                return kernel(m, ids, mask)
+                return logits(m, ids, mask, stable)
 
-            monkeypatch.setitem(inference._REGISTRY, type(model), spy)
+            spied = dataclasses.replace(record, logits=spy)
+            monkeypatch.setitem(inference._KERNELS, type(model), spied)
             model.predict_proba(docs)
             assert sum(rows) == len(docs), type(model).__name__
 
     def test_subclass_does_not_inherit_kernel(self, tiny_vocab, tiny_embeddings):
         # registry lookup is by exact type: a subclass that might override
-        # forward_from_embeddings must not silently get the parent's kernel
+        # forward_from_embeddings must not silently get the parent's kernels,
+        # forward, gradient or delta
         class CustomWCNN(WCNN):
             pass
 
@@ -261,8 +266,8 @@ class TestDispatchRules:
             tiny_vocab, 72, pretrained_embeddings=tiny_embeddings, num_filters=8, seed=0
         )
         model.eval()
-        assert fused_kernel_for(model) is None
-        assert gradient_kernel_for(model) is None
+        assert kernels_for(model) is None
+        assert DeltaScoreFn.for_model(model) is None
         assert not model._fused_active()
         # the reference path still serves it
         probs = model.predict_proba([[tiny_vocab.word(2)]])
@@ -273,9 +278,11 @@ class TestDispatchRules:
             pass
 
         marker = object()
-        register_fused_kernel(Dummy, lambda model, ids, mask: marker)
-        assert fused_kernel_for(Dummy()) is not None
-        assert fused_kernel_for(object()) is None
+        register_kernels(Dummy, Kernels(lambda model, ids, mask, stable=False: marker))
+        record = kernels_for(Dummy())
+        assert record.logits(None, None, None) is marker
+        assert record.gradient is None and record.delta is None
+        assert kernels_for(object()) is None
 
 
 class TestStableKernelAfterTraining:
@@ -295,10 +302,10 @@ class TestStableKernelAfterTraining:
             return model
 
         model = build()
-        kernel = stable_kernel_for(model)
+        logits = kernels_for(model).logits
         examples = tiny_corpus.train[:8]
         ids, mask = model.encode([list(ex.tokens) for ex in examples])
-        before = kernel(model, ids, mask)
+        before = logits(model, ids, mask, stable=True)
 
         model.train()
         optimizer = Adam(model.parameters(), lr=0.05)
@@ -307,12 +314,12 @@ class TestStableKernelAfterTraining:
         softmax_cross_entropy(model.forward(ids, mask), labels).backward()
         optimizer.step()
         model.eval()
-        after = kernel(model, ids, mask)
+        after = logits(model, ids, mask, stable=True)
 
         fresh = build()
         load_state_dict(fresh, state_dict(model))
         assert not np.array_equal(after, before)  # the step moved the weights
-        assert after.tobytes() == kernel(fresh, ids, mask).tobytes()
+        assert after.tobytes() == logits(fresh, ids, mask, stable=True).tobytes()
 
 
 def test_softmax_np_matches_functional():

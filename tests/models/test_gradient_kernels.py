@@ -13,7 +13,7 @@ import pytest
 
 from repro.models import LSTMClassifier, WCNN
 from repro.nn.functional import softmax
-from repro.nn.inference import gradient_kernel_for, softmax_target_grad_np
+from repro.nn.inference import kernels_for, softmax_target_grad_np
 from repro.nn.tensor import Tensor
 
 from tests.models.conftest import MAX_LEN
@@ -34,7 +34,7 @@ def both_gradients(model, doc, target):
     """(kernel, autograd) gradients over the document's whole padded length."""
     ids, mask = model.encode([doc])
     emb = model.embedding.weight.data[ids[0]]
-    kernel = gradient_kernel_for(model)
+    kernel = kernels_for(model).gradient
     assert kernel is not None
     return (
         kernel(model, emb, mask[0], target),

@@ -30,10 +30,9 @@ from repro.nn.delta import (
     RESIDENT_STATES,
     DeltaScoreFn,
     RecurrentDeltaKernel,
-    delta_kernel_for,
     diff_span,
 )
-from repro.nn.inference import max_over_time_np, softmax_np, stable_kernel_for
+from repro.nn.inference import kernels_for, max_over_time_np, softmax_np
 from repro.text import Vocabulary
 
 WORDS = [f"w{i:02d}" for i in range(40)]
@@ -52,10 +51,9 @@ def stable_row(model, doc) -> np.ndarray:
     n_cap = min(len(doc), model.max_len)
     pad_len = model.padded_length(n_cap)
     ids, mask = model.vocab.encode_batch([list(doc)], pad_len)
-    kernel = stable_kernel_for(model)
     ids2 = np.concatenate([ids, ids])
     mask2 = np.concatenate([mask, mask])
-    return softmax_np(kernel(model, ids2, mask2))[0]
+    return softmax_np(kernels_for(model).logits(model, ids2, mask2, stable=True))[0]
 
 
 def random_doc(rng, n: int) -> list[str]:
@@ -108,22 +106,25 @@ def full_scan_diff_span(base, cand, limit):
 
 class TestStableKernels:
     def test_victim_has_a_stable_kernel(self, victim):
-        assert stable_kernel_for(victim) is not None
+        assert kernels_for(victim) is not None
 
     def test_rows_are_composition_invariant(self, victim, attackable_docs):
         """A document's probabilities must not depend on its batch-mates."""
-        kernel = stable_kernel_for(victim)
+        logits = kernels_for(victim).logits
         docs = [list(doc) for doc, _ in attackable_docs[:8]]
         pad = max(len(d) for d in docs) + 4
         ids, mask = victim.vocab.encode_batch(docs, pad)
-        whole = kernel(victim, ids, mask)
+        whole = logits(victim, ids, mask, stable=True)
         pairs = np.concatenate(
-            [kernel(victim, ids[i : i + 2], mask[i : i + 2]) for i in range(0, 8, 2)]
+            [
+                logits(victim, ids[i : i + 2], mask[i : i + 2], stable=True)
+                for i in range(0, 8, 2)
+            ]
         )
         triples = np.concatenate(
             [
-                kernel(victim, ids[:3], mask[:3]),
-                kernel(victim, ids[3:8], mask[3:8]),
+                logits(victim, ids[:3], mask[:3], stable=True),
+                logits(victim, ids[3:8], mask[3:8], stable=True),
             ]
         )
         np.testing.assert_array_equal(whole, pairs)
@@ -131,11 +132,11 @@ class TestStableKernels:
 
     def test_kernel_matches_predict_proba_closely(self, victim, attackable_docs):
         """Stable-kernel scores sit within a few ulp of the default path."""
-        kernel = stable_kernel_for(victim)
+        logits = kernels_for(victim).logits
         docs = [list(doc) for doc, _ in attackable_docs[:6]]
         pad = max(len(d) for d in docs) + 2
         ids, mask = victim.vocab.encode_batch(docs, pad)
-        probs = softmax_np(kernel(victim, ids, mask))
+        probs = softmax_np(logits(victim, ids, mask, stable=True))
         # the default path buckets/pads differently; parity is numerical, not bitwise
         local = victim.predict_proba(docs)
         np.testing.assert_allclose(probs, local, rtol=0, atol=1e-12)
@@ -308,7 +309,7 @@ class TestPrefixResumedBuild:
 
     def test_resumed_state_equals_cold_build_bitwise(self, family):
         model = make_model(family)
-        kernel = RecurrentDeltaKernel(family, family)
+        kernel = RecurrentDeltaKernel(family)
         rng = np.random.default_rng(30)
         old = random_doc(rng, 16)
         resident = kernel.build(model, *encoded(model, old))
@@ -326,7 +327,7 @@ class TestPrefixResumedBuild:
 
     def test_longest_shared_prefix_wins(self, family):
         model = make_model(family)
-        kernel = RecurrentDeltaKernel(family, family)
+        kernel = RecurrentDeltaKernel(family)
         base = random_doc(np.random.default_rng(31), 12)
         residents = [kernel.build(model, *encoded(model, changed(base, p))) for p in (3, 8, 5)]
         state = kernel.build(model, *encoded(model, base), residents)
@@ -359,7 +360,7 @@ class TestDeltaScoreFn:
         class NotAModel:
             pass
 
-        assert delta_kernel_for(NotAModel()) is None
+        assert kernels_for(NotAModel()) is None
         assert DeltaScoreFn.for_model(NotAModel()) is None
         assert DeltaScoreFn.for_model(make_model("wcnn")) is not None
 

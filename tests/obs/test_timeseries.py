@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import Histogram, MetricsRegistry
 from repro.obs.timeseries import (
     SERIES_FILENAME,
     SERIES_SCHEMA_VERSION,
@@ -122,11 +122,16 @@ class TestSampler:
         reg = MetricsRegistry()
         for value in (0.1, 0.2, 0.3, 0.4):
             reg.observe("attack/wall_time_seconds", value)
+        reg.histograms["empty"] = Histogram()
         point = _sampler(reg, tmp_path).sample()
         digest = point["histograms"]["attack/wall_time_seconds"]
         assert digest["count"] == 4
         assert digest["mean"] == pytest.approx(0.25)
         assert 0.1 <= digest["p50"] <= digest["p95"] <= 0.4
+        hist = reg.histogram("attack/wall_time_seconds")
+        assert (digest["p50"], digest["p95"]) == (hist.quantile(0.5), hist.quantile(0.95))
+        # an empty histogram has no quantiles to report
+        assert point["histograms"]["empty"] == {"count": 0, "mean": 0.0}
 
 
 class TestReaders:

@@ -14,14 +14,16 @@ Every combination must equal, bit for bit, the 1-worker plain run at the
 same delta setting: adversarial tokens, probabilities, ``success``,
 ``n_queries`` and failures.  A clean combination must also count the same
 work in the victim's registry: every context counter but the ``*seconds``
-timings, so ``forward/*`` and ``delta/*``.  Three accounting checks hold
+timings, so ``forward/*`` and ``delta/*``.  Four accounting checks hold
 as well:
 
 - each trace file's ``forward.n_forwards`` sums to its
   ``attack_end.n_queries`` and to the result's ``n_queries``;
 - ``metrics.json``'s ``attack/n_queries`` and the frozen ``/metrics``
   scrape both equal the queries of the documents that run attacked;
-- ``n_queries <= max_queries``.
+- ``n_queries <= max_queries``;
+- the last heartbeat's ``n_forward_docs`` equals the context's
+  ``forward/docs``.
 
 The cases are delta scoring {off, on} x victim {WCNN, LSTM} x attack
 {``pso_word``, the stochastic one whose per-document reseeding must
@@ -238,6 +240,8 @@ def check_accounting(run: Run, max_queries: int | None) -> None:
     )
     if max_queries is not None:
         assert max(r.n_queries for r in results) <= max_queries
+    # the last heartbeat saw every forward of the run, its last chunk's too
+    assert run.beats[-1].n_forward_docs == run.context["counters"]["forward/docs"]
 
     if run.trace_dir is not None:
         traced = {}

@@ -1,9 +1,10 @@
-"""Every name that examples/ and benchmarks/ import from ``repro`` exists.
+"""Every name that examples/, benchmarks/ and bench/ import from ``repro`` exists.
 
 Tier-1 runs three examples and no benchmark, so a name deleted from the
 library would otherwise live on in those scripts until someone ran them.
-The scripts are parsed, never run; only the ``repro`` modules they name
-are imported.
+``bench/`` imports inside functions that only a full ``bench/run.py``
+reaches; the AST walk finds those nested imports too.  The scripts are
+parsed, never run; only the ``repro`` modules they name are imported.
 """
 
 import ast
@@ -13,7 +14,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SCRIPTS = sorted([*ROOT.glob("examples/*.py"), *ROOT.glob("benchmarks/*.py")])
+SCRIPTS = sorted(
+    [*ROOT.glob("examples/*.py"), *ROOT.glob("benchmarks/*.py"), *ROOT.glob("bench/*.py")]
+)
 
 
 def repro_imports(path: Path) -> list[tuple[int, str, str | None]]:
@@ -51,7 +54,11 @@ def resolves(module: str, name: str | None) -> bool:
 
 def test_scripts_found():
     names = {f"{p.parent.name}/{p.name}" for p in SCRIPTS}
-    assert {"examples/quickstart.py", "benchmarks/test_ablation_lazy.py"} <= names
+    assert {
+        "examples/quickstart.py",
+        "benchmarks/test_ablation_lazy.py",
+        "bench/child.py",
+    } <= names
 
 
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
